@@ -58,8 +58,8 @@
 // byte-identical to the pre-fidelity engine.
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -723,6 +723,8 @@ GridFleetResult FleetEngine::run_grid(Executor& executor,
   finish_aggregate(out.fleet);
   aggregate_span.finish();
 
+  telemetry::Span report_span(tel, telemetry::Phase::kReport,
+                              telemetry::Span::Emit::kTrace);
   out.control_barriers = barriers;
   out.feeders.resize(feeders);
   for (std::size_t k = 0; k < feeders; ++k) {
@@ -757,9 +759,7 @@ GridFleetResult FleetEngine::run_grid(Executor& executor,
     }
     fo.signals = bus.signals();
     fo.deliveries = bus.log();
-    std::ostringstream feeder_log;
-    bus.write_log_csv(feeder_log);
-    fo.signal_log_csv = feeder_log.str();
+    fo.signal_log_csv = bus.log_csv();
 
     // Fleet-wide roll-ups.
     out.dr.shed_signals += fo.dr.shed_signals;
@@ -801,10 +801,16 @@ GridFleetResult FleetEngine::run_grid(Executor& executor,
   out.hot_minutes = substation.transformer().hot_minutes();
   out.peak_temperature_pu = substation.transformer().peak_temperature_pu();
   out.substation_capacity_kw = substation.transformer().config().capacity_kw;
-  std::ostringstream log;
-  substation.write_log_csv(log);
-  out.signal_log_csv = log.str();
+  // Each row was rendered once, into its feeder's log; the substation
+  // log splices those rows rather than formatting them again.
+  std::vector<std::string_view> feeder_logs;
+  feeder_logs.reserve(feeders);
+  for (const FeederOutcome& fo : out.feeders) {
+    feeder_logs.push_back(fo.signal_log_csv);
+  }
+  out.signal_log_csv = grid::join_feeder_logs(feeder_logs);
   out.comfort_gap_violations = out.fleet.service_gap_violations;
+  report_span.finish();
 
   if (tel != nullptr) {
     // Mirror the result into the deterministic counter registry: every

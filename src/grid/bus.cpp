@@ -1,6 +1,7 @@
 #include "grid/bus.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <stdexcept>
 
 #include "metrics/csv.hpp"
@@ -14,6 +15,40 @@ std::vector<std::size_t> iota_ids(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) ids[i] = i;
   return ids;
 }
+
+template <class Int>
+void append_int(std::string& out, Int v) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
+}
+
+/// What every log row of `s` starts with: the prefix, then signal_id
+/// through tier, each followed by a comma.
+std::string row_lead(const GridSignal& s, std::string_view row_prefix) {
+  std::string lead(row_prefix);
+  append_int(lead, s.id);
+  lead += ',';
+  lead += to_string(s.kind);
+  lead += ',';
+  metrics::append_fixed(lead, s.at.since_epoch().minutes_f(), 3);
+  lead += ',';
+  metrics::append_fixed(lead, s.target_kw, 3);
+  lead += ',';
+  metrics::append_fixed(lead, s.shed_kw, 3);
+  lead += ',';
+  append_int(lead, s.period_stretch);
+  lead += ',';
+  metrics::append_fixed(lead, s.duration.minutes_f(), 1);
+  lead += ',';
+  lead += to_string(s.tier);
+  lead += ',';
+  return lead;
+}
+
+/// Upper bound on a row's bytes after its lead for any realistic
+/// premise id and delivery time; only sizes the up-front reservation.
+constexpr std::size_t kRowTailBytes = 32;
 
 }  // namespace
 
@@ -82,6 +117,7 @@ std::size_t SignalBus::opted_in_count() const noexcept {
 
 const std::vector<Delivery>& SignalBus::publish(const GridSignal& signal) {
   signals_.push_back(signal);
+  log_begin_.push_back(log_.size());
   last_published_.clear();
   last_published_.reserve(subscribers_.size());
   for (std::size_t i = 0; i < subscribers_.size(); ++i) {
@@ -97,34 +133,42 @@ const std::vector<Delivery>& SignalBus::publish(const GridSignal& signal) {
   return last_published_;
 }
 
-void SignalBus::write_log_csv(std::ostream& os) const {
-  os << "signal_id,kind,emit_min,target_kw,shed_kw,stretch,duration_min,"
-        "tier,premise,deliver_min,complied\n";
-  write_log_rows(os, {});
+std::string SignalBus::log_csv() const {
+  std::string out(kSignalLogHeader);
+  append_log_rows(out, {});
+  return out;
 }
 
-void SignalBus::write_log_rows(std::ostream& os,
-                               std::string_view row_prefix) const {
-  for (const Delivery& d : log_) {
-    // Ids are the controller's emission sequence, which need not be
-    // dense in what a caller chose to publish — look the signal up.
-    const GridSignal* sp = nullptr;
-    for (const GridSignal& cand : signals_) {
-      if (cand.id == d.signal_id) {
-        sp = &cand;
-        break;
-      }
+void SignalBus::write_log_csv(std::ostream& os) const {
+  const std::string csv = log_csv();
+  os.write(csv.data(), static_cast<std::streamsize>(csv.size()));
+}
+
+void SignalBus::append_log_rows(std::string& out,
+                                std::string_view row_prefix) const {
+  // Each signal owns the contiguous block of rows its publish appended,
+  // so a row never has to search for its signal.
+  const auto block_end = [this](std::size_t i) {
+    return i + 1 < signals_.size() ? log_begin_[i + 1] : log_.size();
+  };
+  std::vector<std::string> leads;
+  leads.reserve(signals_.size());
+  std::size_t bytes = out.size();
+  for (std::size_t i = 0; i < signals_.size(); ++i) {
+    leads.push_back(row_lead(signals_[i], row_prefix));
+    bytes += (block_end(i) - log_begin_[i]) *
+             (leads.back().size() + kRowTailBytes);
+  }
+  out.reserve(bytes);
+  for (std::size_t i = 0; i < signals_.size(); ++i) {
+    for (std::size_t r = log_begin_[i]; r < block_end(i); ++r) {
+      const Delivery& d = log_[r];
+      out += leads[i];
+      append_int(out, d.premise);
+      out += ',';
+      metrics::append_fixed(out, d.deliver_at.since_epoch().minutes_f(), 3);
+      out += d.complied ? ",1\n" : ",0\n";
     }
-    if (sp == nullptr) continue;
-    const GridSignal& s = *sp;
-    os << row_prefix << d.signal_id << ',' << to_string(s.kind) << ','
-       << metrics::fmt(s.at.since_epoch().minutes_f(), 3) << ','
-       << metrics::fmt(s.target_kw, 3) << ',' << metrics::fmt(s.shed_kw, 3)
-       << ',' << s.period_stretch << ','
-       << metrics::fmt(s.duration.minutes_f(), 1) << ',' << to_string(s.tier)
-       << ',' << d.premise << ','
-       << metrics::fmt(d.deliver_at.since_epoch().minutes_f(), 3) << ','
-       << (d.complied ? 1 : 0) << '\n';
   }
 }
 

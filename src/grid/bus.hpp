@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <ostream>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -20,6 +21,11 @@
 #include "sim/random.hpp"
 
 namespace han::grid {
+
+/// Header line of a feeder's signal/compliance log CSV.
+inline constexpr std::string_view kSignalLogHeader =
+    "signal_id,kind,emit_min,target_kw,shed_kw,stretch,duration_min,tier,"
+    "premise,deliver_min,complied\n";
 
 /// Delivery-model parameters.
 struct BusConfig {
@@ -114,21 +120,27 @@ class SignalBus {
     return log_;
   }
 
-  /// Writes the signal/compliance log as CSV — one row per delivery,
-  /// joined with its signal's fields. Deterministic formatting; the
-  /// thread-independence tests compare this output byte-for-byte.
+  /// The signal/compliance log as CSV: kSignalLogHeader, then one row
+  /// per delivery carrying the fields of the signal it delivered.
+  /// Deterministic formatting; the thread-independence tests compare
+  /// this output byte-for-byte.
+  [[nodiscard]] std::string log_csv() const;
+  /// Streams log_csv().
   void write_log_csv(std::ostream& os) const;
 
-  /// Data rows only (no header), each prefixed with `row_prefix` — the
-  /// Substation uses this to join per-feeder logs under one header with
-  /// a leading feeder column.
-  void write_log_rows(std::ostream& os, std::string_view row_prefix) const;
+  /// Appends the data rows only (no header), each prefixed with
+  /// `row_prefix` — the Substation uses this to join per-feeder logs
+  /// under one header with a leading feeder column.
+  void append_log_rows(std::string& out, std::string_view row_prefix) const;
 
  private:
   std::vector<std::size_t> ids_;  // global premise id per member position
   std::vector<Subscriber> subscribers_;
   std::vector<GridSignal> signals_;
   std::vector<Delivery> log_;
+  /// Index in log_ of each signal's first delivery: signal i owns rows
+  /// [log_begin_[i], log_begin_[i + 1]), the last one up to log_.size().
+  std::vector<std::size_t> log_begin_;
   std::vector<Delivery> last_published_;
 };
 

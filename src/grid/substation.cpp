@@ -361,6 +361,22 @@ void Substation::observe_total(sim::TimePoint t, double load_kw) {
   transformer_.observe(t, load_kw);
 }
 
+namespace {
+
+std::string multi_feeder_header() {
+  std::string header = "feeder,";
+  header += kSignalLogHeader;
+  return header;
+}
+
+std::string feeder_prefix(std::size_t k) {
+  std::string prefix = std::to_string(k);
+  prefix += ',';
+  return prefix;
+}
+
+}  // namespace
+
 void Substation::write_log_csv(std::ostream& os) const {
   if (shards_.size() == 1) {
     // Byte-for-byte the single-feeder format the PR 2 determinism
@@ -368,13 +384,41 @@ void Substation::write_log_csv(std::ostream& os) const {
     shards_.front().bus.write_log_csv(os);
     return;
   }
-  os << "feeder,signal_id,kind,emit_min,target_kw,shed_kw,stretch,"
-        "duration_min,tier,premise,deliver_min,complied\n";
+  std::string csv = multi_feeder_header();
   for (std::size_t k = 0; k < shards_.size(); ++k) {
-    std::string prefix = std::to_string(k);
-    prefix.push_back(',');
-    shards_[k].bus.write_log_rows(os, prefix);
+    shards_[k].bus.append_log_rows(csv, feeder_prefix(k));
   }
+  os.write(csv.data(), static_cast<std::streamsize>(csv.size()));
+}
+
+std::string join_feeder_logs(const std::vector<std::string_view>& feeder_logs) {
+  for (const std::string_view log : feeder_logs) {
+    if (!log.starts_with(kSignalLogHeader)) {
+      throw std::invalid_argument("join_feeder_logs: not a feeder log");
+    }
+  }
+  if (feeder_logs.size() == 1) return std::string(feeder_logs.front());
+  const auto rows = [&feeder_logs](std::size_t k) {
+    return feeder_logs[k].substr(kSignalLogHeader.size());
+  };
+  std::string out = multi_feeder_header();
+  std::size_t bytes = out.size();
+  for (std::size_t k = 0; k < feeder_logs.size(); ++k) {
+    const auto lines = std::count(rows(k).begin(), rows(k).end(), '\n');
+    bytes += rows(k).size() +
+             static_cast<std::size_t>(lines) * feeder_prefix(k).size();
+  }
+  out.reserve(bytes);
+  for (std::size_t k = 0; k < feeder_logs.size(); ++k) {
+    const std::string prefix = feeder_prefix(k);
+    for (std::string_view rest = rows(k); !rest.empty();) {
+      const std::size_t len = std::min(rest.find('\n'), rest.size() - 1) + 1;
+      out += prefix;
+      out += rest.substr(0, len);
+      rest.remove_prefix(len);
+    }
+  }
+  return out;
 }
 
 }  // namespace han::grid

@@ -32,6 +32,8 @@
 #include <cstdint>
 #include <functional>
 #include <ostream>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -297,5 +299,13 @@ class Substation {
   std::unordered_map<std::size_t, std::size_t> serving_;
   telemetry::Collector* telemetry_ = nullptr;
 };
+
+/// The substation log of write_log_csv, joined from already rendered
+/// per-feeder logs (SignalBus::log_csv() of feeders 0..K-1, in order)
+/// without rendering a row again: one log is returned as is, several
+/// have their rows spliced under one header behind a "k," prefix.
+/// Throws std::invalid_argument if a log lacks kSignalLogHeader.
+[[nodiscard]] std::string join_feeder_logs(
+    const std::vector<std::string_view>& feeder_logs);
 
 }  // namespace han::grid

@@ -1,8 +1,9 @@
 #include "metrics/csv.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <iomanip>
+#include <system_error>
 
 namespace han::metrics {
 
@@ -30,10 +31,26 @@ void write_csv(std::ostream& os, const std::vector<std::string>& names,
   }
 }
 
-std::string fmt(double v, int precision) {
+void append_fixed(std::string& out, double v, int precision) {
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", precision, v);
-  return buf;
+  auto r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed,
+                         precision);
+  if (r.ec == std::errc{}) {
+    out.append(buf, r.ptr);
+    return;
+  }
+  // Only huge magnitudes or long precisions get here: the fixed
+  // expansion of a finite double has at most 309 integer digits.
+  std::string big(static_cast<std::size_t>(precision) + 320, '\0');
+  r = std::to_chars(big.data(), big.data() + big.size(), v,
+                    std::chars_format::fixed, precision);
+  out.append(big.data(), r.ptr);
+}
+
+std::string fmt(double v, int precision) {
+  std::string s;
+  append_fixed(s, v, precision);
+  return s;
 }
 
 TextTable::TextTable(std::vector<std::string> headers)

@@ -31,6 +31,12 @@ class TextTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
+/// Appends `v` in fixed notation with `precision` decimals, byte for
+/// byte what printf("%.*f") prints (exact decimal expansion, ties to
+/// even), without a locale, a format parse or a temporary string.
+/// `precision` must be >= 0.
+void append_fixed(std::string& out, double v, int precision);
+
 /// Formats a double with fixed precision (helper for bench output).
 [[nodiscard]] std::string fmt(double v, int precision = 2);
 

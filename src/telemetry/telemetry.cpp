@@ -19,6 +19,7 @@ constexpr std::string_view kPhaseNames[] = {
     "barrier_join_wait",
     "collect",
     "aggregate",
+    "report",
     "boot_spec",
     "boot_backend",
     "executor_dispatch",
@@ -38,7 +39,7 @@ std::string_view phase_name(Phase p) noexcept {
 }
 
 bool phase_is_exclusive(Phase p) noexcept {
-  return p <= Phase::kAggregate;
+  return p <= Phase::kReport;
 }
 
 std::uint64_t Collector::now_ns() noexcept {

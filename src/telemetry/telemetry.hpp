@@ -60,6 +60,7 @@ enum class Phase : std::uint8_t {
   kBarrierJoinWait,  // control plane blocked on a shard's join node
   kCollect,         // premise result collection (finish())
   kAggregate,       // sequential feeder aggregation
+  kReport,          // per-feeder outcomes + signal-log rendering
   // --- nested (overlap the exclusive phases) --------------------------
   kBootSpec,        // per-premise spec/trace construction (inside kBoot)
   kBootBackend,     // per-premise backend creation (inside kBoot)

@@ -3,6 +3,8 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "grid/bus.hpp"
 
@@ -134,6 +136,38 @@ TEST(SignalBus, LogCsvIsStableAndComplete) {
   EXPECT_EQ(lines, 5u);
   EXPECT_NE(a.str().find("dr_shed"), std::string::npos);
   EXPECT_NE(a.str().find("all_clear"), std::string::npos);
+}
+
+TEST(SignalBus, LogRowsCarryTheirOwnSignalWhenIdsRepeat) {
+  // Two publishes with the same id: each row must carry the fields of
+  // the signal that delivered it, not of the first signal with its id.
+  BusConfig all = config();
+  all.opt_in = 1.0;
+  SignalBus bus(all, 2, sim::Rng(4));
+  (void)bus.publish(shed_at(sim::TimePoint::epoch() + sim::minutes(10), 7));
+  GridSignal clear;
+  clear.id = 7;
+  clear.kind = SignalKind::kAllClear;
+  clear.at = sim::TimePoint::epoch() + sim::minutes(40);
+  (void)bus.publish(clear);
+
+  std::vector<std::string> rows;
+  std::istringstream in(bus.log_csv());
+  for (std::string line; std::getline(in, line);) rows.push_back(line);
+  ASSERT_EQ(rows.size(), 5u);  // header + 2 signals x 2 premises
+  EXPECT_EQ(rows[0] + "\n", kSignalLogHeader);
+  for (std::size_t r = 1; r <= 2; ++r) {
+    EXPECT_EQ(rows[r].rfind("7,dr_shed,10.000,90.000,20.000,2,30.0,", 0),
+              0u)
+        << rows[r];
+  }
+  for (std::size_t r = 3; r <= 4; ++r) {
+    EXPECT_EQ(rows[r].rfind("7,all_clear,40.000,0.000,0.000,1,0.0,", 0), 0u)
+        << rows[r];
+  }
+  std::ostringstream streamed;
+  bus.write_log_csv(streamed);
+  EXPECT_EQ(streamed.str(), bus.log_csv());
 }
 
 }  // namespace

@@ -107,6 +107,8 @@ TEST(Collector, PhasePartitionIsComplete) {
   EXPECT_FALSE(phase_is_exclusive(Phase::kExecutorDispatch));
   EXPECT_TRUE(phase_is_exclusive(Phase::kBarrierAdvance));
   EXPECT_TRUE(phase_is_exclusive(Phase::kAggregate));
+  EXPECT_TRUE(phase_is_exclusive(Phase::kReport));
+  EXPECT_EQ(phase_name(Phase::kReport), "report");
   for (std::size_t i = 0; i < names.size(); ++i) {
     for (std::size_t j = i + 1; j < names.size(); ++j) {
       EXPECT_NE(names[i], names[j]);
@@ -270,6 +272,21 @@ TEST(EngineTelemetry, ExclusivePhasesPartitionTheRun) {
   EXPECT_LE(exclusive, run_total + run_total / 20);
   EXPECT_GE(exclusive, run_total / 2)
       << "exclusive phases cover too little of the run";
+}
+
+TEST(EngineTelemetry, GridRunWithSignalsRecordsReportPhase) {
+  const fleet::FleetConfig cfg =
+      tiny_dr_heat_wave(fleet::ControlMode::kPolled);
+  const fleet::FleetEngine engine(cfg);
+  fleet::Executor executor(1);
+  Collector c;
+  const fleet::GridFleetResult result = engine.run_grid(executor, &c);
+  ASSERT_FALSE(result.signals.empty());
+  // One span around outcome assembly and log rendering, inside the run.
+  EXPECT_EQ(c.phase(Phase::kReport).calls, 1u);
+  EXPECT_GT(c.phase(Phase::kReport).total_ns, 0u);
+  EXPECT_LE(c.phase(Phase::kReport).total_ns,
+            c.phase(Phase::kRunTotal).total_ns);
 }
 
 TEST(EngineTelemetry, ExecutorActivityIsRecorded) {
