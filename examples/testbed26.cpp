@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr,
                "testbed26: scenario=%s scheduler=%s seed=%llu "
-               "(packet-level, ~1-2 min wall time)\n",
+               "(packet-level, 350 simulated minutes)\n",
                to_string(scenario).data(), core::to_string(kind).data(),
                static_cast<unsigned long long>(seed));
 

@@ -16,34 +16,31 @@ double mw_to_dbm(double mw) noexcept {
 Channel::Channel(const Topology& topo, const ChannelParams& params,
                  sim::Rng& rng)
     : n_(topo.size()), params_(params) {
-  distance_m_.assign(n_ * n_, 0.0);
-  shadowing_db_.assign(n_ * n_, 0.0);
+  path_loss_db_.assign(n_ * n_, 0.0);
   for (std::size_t a = 0; a < n_; ++a) {
     for (std::size_t b = a + 1; b < n_; ++b) {
-      const double d = topo.distance_between(static_cast<NodeId>(a),
-                                             static_cast<NodeId>(b));
+      const double d =
+          std::max(topo.distance_between(static_cast<NodeId>(a),
+                                         static_cast<NodeId>(b)),
+                   params_.reference_distance_m);
       const double sh = rng.normal(0.0, params_.shadowing_sigma_db);
-      distance_m_[a * n_ + b] = distance_m_[b * n_ + a] = d;
-      shadowing_db_[a * n_ + b] = shadowing_db_[b * n_ + a] = sh;
+      double pl = params_.reference_loss_db +
+                  10.0 * params_.path_loss_exponent *
+                      std::log10(d / params_.reference_distance_m) +
+                  sh;
+      if (d > params_.hard_range_m) pl += params_.hard_range_extra_loss_db;
+      path_loss_db_[a * n_ + b] = path_loss_db_[b * n_ + a] = pl;
     }
   }
-}
-
-std::size_t Channel::link_index(NodeId a, NodeId b) const noexcept {
-  return static_cast<std::size_t>(a) * n_ + static_cast<std::size_t>(b);
+  rx_mw_.resize(n_ * n_);
+  for (std::size_t i = 0; i < n_ * n_; ++i) {
+    rx_mw_[i] = dbm_to_mw(params_.tx_power_dbm - path_loss_db_[i]);
+  }
 }
 
 double Channel::path_loss_db(NodeId tx, NodeId rx) const {
   assert(tx < n_ && rx < n_);
-  if (tx == rx) return 0.0;
-  const double d =
-      std::max(distance_m_[link_index(tx, rx)], params_.reference_distance_m);
-  double pl = params_.reference_loss_db +
-              10.0 * params_.path_loss_exponent *
-                  std::log10(d / params_.reference_distance_m) +
-              shadowing_db_[link_index(tx, rx)];
-  if (d > params_.hard_range_m) pl += params_.hard_range_extra_loss_db;
-  return pl;
+  return path_loss_db_[link_index(tx, rx)];
 }
 
 double Channel::rx_power_dbm(NodeId tx, NodeId rx, double tx_dbm) const {

@@ -8,7 +8,10 @@
 //
 // Shadowing is drawn once per (unordered) link at construction and held
 // fixed, modelling walls/furniture of the office deployment; this keeps
-// runs deterministic and links symmetric.
+// runs deterministic and links symmetric. Path loss is therefore fixed
+// per link too, and is tabulated at construction together with the
+// received power in mW at the configured transmit power, which the
+// medium reads for every receiver of every frame.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +59,12 @@ class Channel {
   [[nodiscard]] double rx_power_dbm(NodeId tx, NodeId rx,
                                     double tx_dbm) const;
 
+  /// dbm_to_mw(rx_power_dbm(tx, rx, params().tx_power_dbm)), from the
+  /// construction-time table (the same double the call returns).
+  [[nodiscard]] double rx_mw(NodeId tx, NodeId rx) const noexcept {
+    return rx_mw_[link_index(tx, rx)];
+  }
+
   /// Path loss (dB) on the (tx, rx) link, shadowing included.
   [[nodiscard]] double path_loss_db(NodeId tx, NodeId rx) const;
 
@@ -83,12 +92,14 @@ class Channel {
       double threshold = 0.9, std::size_t psdu_bytes = 64) const;
 
  private:
-  [[nodiscard]] std::size_t link_index(NodeId a, NodeId b) const noexcept;
+  [[nodiscard]] std::size_t link_index(NodeId a, NodeId b) const noexcept {
+    return static_cast<std::size_t>(a) * n_ + static_cast<std::size_t>(b);
+  }
 
   std::size_t n_ = 0;
   ChannelParams params_;
-  std::vector<double> distance_m_;     // n*n, symmetric
-  std::vector<double> shadowing_db_;   // n*n, symmetric, 0 on diagonal
+  std::vector<double> path_loss_db_;  // n*n, symmetric, 0 on diagonal
+  std::vector<double> rx_mw_;         // n*n, at params_.tx_power_dbm
 };
 
 }  // namespace han::net

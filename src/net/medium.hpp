@@ -15,6 +15,15 @@
 //
 // Reception outcomes are Bernoulli draws from the SINR->PRR link model,
 // using a dedicated deterministic RNG stream.
+//
+// Transmissions are kept in a history vector in start-time order (each
+// is appended when it starts, at now()). A transmission is retired once
+// its CI group has been evaluated and it ended more than the overlap
+// horizon ago; retired entries form a prefix that a head index skips and
+// that is compacted away occasionally. The ordering lets a frame find
+// its CI group by binary search on start time, stop its interferer scan
+// at the first transmission starting after it ended, and be found at its
+// end by its key's offset from the head.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +73,7 @@ class Medium {
   /// Cap on the power gain from non-coherent CI combining relative to
   /// the strongest transmitter (measurements on Glossy-class systems
   /// report 0-3 dB; summing many relays unbounded would be unphysical).
-  void set_ci_max_gain_db(double db) noexcept { ci_max_gain_db_ = db; }
+  void set_ci_max_gain_db(double db) noexcept;
 
   /// Minimum signal-to-interference ratio for a frame to be decodable
   /// against non-identical concurrent frames (co-channel rejection of
@@ -108,13 +117,20 @@ class Medium {
   const Channel& channel_;
   sim::Rng rng_;
   std::vector<Radio*> radios_;        // indexed by NodeId
-  std::vector<ActiveTx> history_;     // recent + active transmissions
+  /// Transmissions in start-time order; [0, head_) are retired.
+  std::vector<ActiveTx> history_;
+  std::size_t head_ = 0;
+  std::uint64_t first_key_ = 1;       // key of history_[0]
+  std::uint64_t next_tx_key_ = 1;     // key of the next begin_tx
   std::vector<sim::TimePoint> rx_busy_until_;  // per receiver decode lock
-  std::uint64_t next_tx_key_ = 1;
-  std::vector<std::uint64_t> tx_keys_;  // parallel to history_
+  // evaluate_group scratch, kept to reuse its capacity.
+  std::vector<std::size_t> group_;        // CI group, ascending index
+  std::vector<std::size_t> interferers_;  // ascending index
+  std::vector<std::uint8_t> group_source_;  // per NodeId: transmits in group_
   sim::Duration ci_window_ = sim::Duration{0};  // set in ctor (0.5 us)
   double ci_decode_penalty_ = 0.0;
   double ci_max_gain_db_ = 3.0;
+  double ci_max_gain_ = 0.0;  // 10^(ci_max_gain_db_/10), set in ctor
   double capture_threshold_db_ = 3.0;
   double forced_drop_rate_ = 0.0;
   MediumStats stats_;

@@ -1,23 +1,32 @@
 // han::sim — cancellable priority queue of timed events.
 //
-// A binary min-heap keyed on (time, sequence-number). The sequence number
-// makes ordering of same-time events deterministic (FIFO), which in turn
-// makes whole simulations bit-reproducible. Events can be cancelled in
-// O(log n) via the EventId returned at scheduling time; the heap keeps a
-// handle->slot index for that.
+// A binary min-heap of small POD keys ordered on (time, sequence-number).
+// The sequence number makes ordering of same-time events deterministic
+// (FIFO), which in turn makes whole simulations bit-reproducible.
+//
+// Callbacks live outside the heap, in a pool of slots recycled through a
+// free list; a key names its slot. Cancellation is lazy: cancel() frees
+// the slot (destroying the callback at once) and leaves the key in the
+// heap as a dead entry, recognisable because its sequence number no
+// longer matches the slot's. Dead keys are dropped when they reach the
+// top, and the heap is rebuilt from its live keys once dead keys
+// outnumber them. Because (time, seq) is a total order, neither changes
+// which event fires next.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/time.hpp"
 
 namespace han::sim {
 
-/// Opaque handle identifying a scheduled event. Never reused within one
-/// EventQueue instance.
+/// Opaque handle identifying a scheduled event: the event's pool slot
+/// plus that slot's generation. A slot's generation advances every time
+/// its event fires or is cancelled, so a handle to a finished event can
+/// never cancel (or report as pending) a later event that reuses the
+/// slot — until the slot has been recycled 2^32 times.
 struct EventId {
   std::uint64_t value = 0;
 
@@ -29,7 +38,7 @@ struct EventId {
 using EventFn = std::function<void()>;
 
 /// Min-heap of (TimePoint, callback) with stable same-time ordering and
-/// O(log n) cancellation. Not thread-safe: the simulation kernel is
+/// lazy cancellation (amortized O(log n)). Not thread-safe: the kernel is
 /// single-threaded by design.
 class EventQueue {
  public:
@@ -39,21 +48,20 @@ class EventQueue {
   /// can be used with cancel().
   EventId schedule(TimePoint at, EventFn fn);
 
-  /// Cancels a pending event. Returns true if the event existed and was
-  /// removed; false if it already fired, was already cancelled, or the
-  /// handle is invalid. Safe to call from inside event callbacks.
+  /// Cancels a pending event and destroys its callback before
+  /// returning. Returns true if the event existed and was removed; false
+  /// if it already fired, was already cancelled, or the handle is
+  /// invalid. Safe to call from inside event callbacks.
   bool cancel(EventId id);
 
   /// True if `id` is still scheduled (not yet fired or cancelled).
-  [[nodiscard]] bool pending(EventId id) const {
-    return slot_of_.find(id.value) != slot_of_.end();
-  }
+  [[nodiscard]] bool pending(EventId id) const noexcept;
 
   /// True if no events are pending.
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
 
-  /// Number of pending events.
-  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
+  /// Number of pending events (cancelled ones not counted).
+  [[nodiscard]] std::size_t size() const noexcept { return live_; }
 
   /// Fire time of the earliest pending event. Precondition: !empty().
   [[nodiscard]] TimePoint next_time() const;
@@ -75,28 +83,49 @@ class EventQueue {
   }
 
  private:
-  struct Node {
+  /// Heap entry. Live while `seq` equals its slot's `seq`.
+  struct Key {
     TimePoint time;
-    std::uint64_t seq = 0;  // also the EventId value
-    EventFn fn;
+    std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
   };
 
-  [[nodiscard]] static bool less(const Node& a, const Node& b) noexcept {
+  /// Callback storage. `seq` is 0 while the slot is free.
+  struct Slot {
+    EventFn fn;
+    std::uint64_t seq = 0;
+    std::uint32_t generation = 1;
+  };
+
+  [[nodiscard]] static bool less(const Key& a, const Key& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
 
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
-  void move_to(std::size_t dst, Node&& n);
-  void remove_at(std::size_t i);
+  [[nodiscard]] bool live(const Key& k) const noexcept {
+    return slots_[k.slot].seq == k.seq;
+  }
 
-  std::vector<Node> heap_;
-  /// seq -> heap index. Hash order never escapes: accessed only via
-  /// find/erase/insert, firing order is decided by the heap alone.
-  // lint:allow(unordered-container): lookup-only cancellation index, never iterated
-  std::unordered_map<std::uint64_t, std::size_t> slot_of_;
-  std::uint64_t next_seq_ = 1;  // 0 is the invalid EventId
+  [[nodiscard]] static EventId make_id(std::uint32_t slot,
+                                       std::uint32_t generation) noexcept {
+    return EventId{(static_cast<std::uint64_t>(generation) << 32) | slot};
+  }
+
+  /// Slot named by `id` if it holds a pending event, else nullptr.
+  [[nodiscard]] const Slot* find(EventId id) const noexcept;
+
+  void release(std::uint32_t slot) noexcept;
+  void sift_up(std::size_t i) noexcept;
+  void sift_down(std::size_t i) noexcept;
+  void pop_key() noexcept;
+  void drop_dead_top() noexcept;
+  void rebuild() noexcept;
+
+  std::vector<Key> heap_;  // live and dead keys; the top is always live
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;  // LIFO free list of slot indices
+  std::size_t live_ = 0;
+  std::uint64_t next_seq_ = 1;
 };
 
 /// Re-armable one-shot deadline over an EventQueue — the registration

@@ -1,6 +1,11 @@
 // Channel: path loss, BER/PRR link model, connectivity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "net/channel.hpp"
 #include "net/topology.hpp"
 
@@ -19,6 +24,59 @@ TEST(Channel, DbmMwConversions) {
   EXPECT_NEAR(mw_to_dbm(1.0), 0.0, 1e-12);
   EXPECT_NEAR(mw_to_dbm(dbm_to_mw(-37.5)), -37.5, 1e-9);
   EXPECT_LE(mw_to_dbm(0.0), -250.0);  // clamped, not -inf
+}
+
+TEST(Channel, LinkTablesMatchDirectComputationBitForBit) {
+  // The tabulated per-link mW must be the very doubles the dBm path
+  // converts to, at the configured transmit power, for every ordered
+  // pair (diagonal included) of a shadowed 26-node deployment.
+  const Topology t = Topology::flocklab26();
+  for (const double tx_dbm : {0.0, -7.0}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 17u, 99u}) {
+      sim::Rng rng(seed);
+      ChannelParams p;
+      p.tx_power_dbm = tx_dbm;
+      const Channel ch(t, p, rng);
+      for (NodeId a = 0; a < t.size(); ++a) {
+        for (NodeId b = 0; b < t.size(); ++b) {
+          const double dbm = ch.rx_power_dbm(a, b, p.tx_power_dbm);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(dbm),
+                    std::bit_cast<std::uint64_t>(p.tx_power_dbm -
+                                                 ch.path_loss_db(a, b)));
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(ch.rx_mw(a, b)),
+                    std::bit_cast<std::uint64_t>(dbm_to_mw(dbm)))
+              << "seed " << seed << " link " << a << "->" << b;
+        }
+      }
+    }
+  }
+}
+
+TEST(Channel, PathLossTableIsTheLogDistanceExpressionBitForBit) {
+  // Without shadowing the table entry is the log-distance expression
+  // itself, evaluated in the same order, so it must match to the bit.
+  sim::Rng rng(1);
+  const Topology t = Topology::flocklab26();
+  ChannelParams p;
+  p.shadowing_sigma_db = 0.0;
+  p.hard_range_m = 12.0;  // exercise the outer-wall branch too
+  const Channel ch(t, p, rng);
+  for (NodeId a = 0; a < t.size(); ++a) {
+    for (NodeId b = 0; b < t.size(); ++b) {
+      double expected = 0.0;
+      if (a != b) {
+        const double d =
+            std::max(t.distance_between(a, b), p.reference_distance_m);
+        expected = p.reference_loss_db +
+                   10.0 * p.path_loss_exponent *
+                       std::log10(d / p.reference_distance_m);
+        if (d > p.hard_range_m) expected += p.hard_range_extra_loss_db;
+      }
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(ch.path_loss_db(a, b)),
+                std::bit_cast<std::uint64_t>(expected))
+          << "link " << a << "->" << b;
+    }
+  }
 }
 
 TEST(Channel, PathLossGrowsWithDistance) {

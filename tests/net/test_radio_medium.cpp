@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
 
 #include "net/channel.hpp"
 #include "net/medium.hpp"
@@ -142,6 +143,32 @@ TEST(Medium, IdenticalConcurrentFramesCombine) {
   EXPECT_EQ(got, 1);  // one delivery, not two
   EXPECT_EQ(combined, 2u);
   EXPECT_EQ(rig.medium_.stats().ci_combined, 1u);
+}
+
+TEST(Medium, CiWindowBoundaryIsInclusive) {
+  // Identical frames combine when their starts are at most ci_window
+  // apart, and are separate (colliding, equal-power) frames one tick
+  // beyond it.
+  const auto run = [](sim::Duration skew) {
+    Rig rig(Topology::line(3, 8.0));
+    int got = 0;
+    std::size_t combined = 0;
+    rig.radios_[1]->listen();
+    rig.radios_[1]->set_receive_handler(
+        [&](const Frame&, const RxInfo& info) {
+          ++got;
+          combined = info.combined_transmitters;
+        });
+    rig.radios_[0]->transmit(rig.frame());
+    rig.sim_.schedule_after(skew, [&] { rig.radios_[2]->transmit(rig.frame()); });
+    rig.sim_.run();
+    return std::tuple{got, combined, rig.medium_.stats().ci_combined};
+  };
+  Rig probe(Topology::line(3, 8.0));
+  const sim::Duration w = probe.medium_.ci_window();
+  EXPECT_EQ(run(w), std::tuple(1, std::size_t{2}, std::uint64_t{1}));
+  EXPECT_EQ(run(w + sim::microseconds(1)),
+            std::tuple(0, std::size_t{0}, std::uint64_t{0}));
 }
 
 TEST(Medium, DifferentContentCollides) {
