@@ -13,8 +13,17 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
-/// Telemetry phase charged for a premise advancing at `tier`.
-telemetry::Phase tier_phase(fidelity::FidelityTier tier) noexcept {
+/// Diurnal Type-1 base-load factor at simulated time `t`: peaks at
+/// 19:00, troughs at 07:00, unit daily mean.
+double diurnal_factor(sim::TimePoint t, double swing) {
+  const double h = t.since_epoch().hours_f();
+  return 1.0 + swing * std::cos(2.0 * kPi * (h - 19.0) / 24.0);
+}
+
+}  // namespace
+
+telemetry::Phase FleetEngine::tier_phase(
+    fidelity::FidelityTier tier) noexcept {
   switch (tier) {
     case fidelity::FidelityTier::kFull:
       return telemetry::Phase::kTierFullAdvance;
@@ -26,14 +35,23 @@ telemetry::Phase tier_phase(fidelity::FidelityTier tier) noexcept {
   return telemetry::Phase::kTierStatAdvance;
 }
 
-/// Diurnal Type-1 base-load factor at simulated time `t`: peaks at
-/// 19:00, troughs at 07:00, unit daily mean.
-double diurnal_factor(sim::TimePoint t, double swing) {
-  const double h = t.since_epoch().hours_f();
-  return 1.0 + swing * std::cos(2.0 * kPi * (h - 19.0) / 24.0);
+void FleetEngine::count_fleet_shape(telemetry::Collector& tel) const {
+  std::size_t full = 0;
+  std::size_t device = 0;
+  std::size_t stat = 0;
+  for (std::size_t i = 0; i < config_.premise_count; ++i) {
+    switch (tier_of(i)) {
+      case fidelity::FidelityTier::kFull: ++full; break;
+      case fidelity::FidelityTier::kDevice: ++device; break;
+      case fidelity::FidelityTier::kStatistical: ++stat; break;
+    }
+  }
+  tel.set_counter("premises", config_.premise_count);
+  tel.set_counter("feeders", config_.feeder_count);
+  tel.set_counter("premises_full", full);
+  tel.set_counter("premises_device", device);
+  tel.set_counter("premises_stat", stat);
 }
-
-}  // namespace
 
 double FleetEngine::diurnal_base_kw(const PremiseSpec& spec,
                                     sim::TimePoint t) {
@@ -65,18 +83,6 @@ FleetEngine::FleetEngine(FleetConfig config) : config_(std::move(config)) {
   if (config_.grid.control_interval <= sim::Duration::zero()) {
     throw std::invalid_argument(
         "FleetEngine: grid.control_interval must be > 0");
-  }
-  if (config_.grid.observe_cap <= sim::Duration::zero()) {
-    throw std::invalid_argument("FleetEngine: grid.observe_cap must be > 0");
-  }
-  if (config_.grid.observe_cap_near <= sim::Duration::zero()) {
-    throw std::invalid_argument(
-        "FleetEngine: grid.observe_cap_near must be > 0");
-  }
-  if (!(config_.grid.observe_cap_near_fraction > 0.0) ||
-      !(config_.grid.observe_cap_near_fraction <= 1.0)) {
-    throw std::invalid_argument(
-        "FleetEngine: grid.observe_cap_near_fraction must be in (0, 1]");
   }
   if (config_.feeder_count == 0) {
     throw std::invalid_argument("FleetEngine: feeder_count must be >= 1");
@@ -305,24 +311,15 @@ FleetResult FleetEngine::run(Executor& executor,
   FleetResult out;
   out.premises.resize(config_.premise_count);
   {
-    // Open loop has a single "advance to the horizon" barrier; the
-    // disabled path is the exact pre-telemetry loop.
+    // Open loop has a single "advance to the horizon" barrier; each
+    // premise's run is charged to its tier's nested phase.
     telemetry::Span advance(tel, telemetry::Phase::kBarrierAdvance,
                             telemetry::Span::Emit::kTrace);
-    if (tel == nullptr) {
-      executor.parallel_for(config_.premise_count,
-                            [this, &out](std::size_t i) {
-                              out.premises[i] = run_premise_at_tier(i);
-                            });
-    } else {
-      executor.parallel_for(
-          config_.premise_count, [this, &out, tel](std::size_t i) {
-            const std::uint64_t t0 = telemetry::Collector::now_ns();
-            out.premises[i] = run_premise_at_tier(i);
-            tel->record_span(tier_phase(tier_of(i)),
-                             telemetry::Collector::now_ns() - t0);
-          });
-    }
+    executor.parallel_for(
+        config_.premise_count, [this, &out, tel](std::size_t i) {
+          const telemetry::Span premise(tel, tier_phase(tier_of(i)));
+          out.premises[i] = run_premise_at_tier(i);
+        });
   }
   {
     telemetry::Span aggregate(tel, telemetry::Phase::kAggregate,
@@ -331,21 +328,7 @@ FleetResult FleetEngine::run(Executor& executor,
   }
 
   if (tel != nullptr) {
-    std::size_t full = 0;
-    std::size_t device = 0;
-    std::size_t stat = 0;
-    for (std::size_t i = 0; i < config_.premise_count; ++i) {
-      switch (tier_of(i)) {
-        case fidelity::FidelityTier::kFull: ++full; break;
-        case fidelity::FidelityTier::kDevice: ++device; break;
-        case fidelity::FidelityTier::kStatistical: ++stat; break;
-      }
-    }
-    tel->set_counter("premises", config_.premise_count);
-    tel->set_counter("feeders", config_.feeder_count);
-    tel->set_counter("premises_full", full);
-    tel->set_counter("premises_device", device);
-    tel->set_counter("premises_stat", stat);
+    count_fleet_shape(*tel);
     tel->set_counter("coordinated_premises", out.coordinated_premises);
     tel->set_counter("total_requests", out.total_requests);
     tel->set_counter("min_dcd_violations", out.min_dcd_violations);

@@ -34,6 +34,7 @@
 
 namespace han::telemetry {
 class Collector;
+enum class Phase : std::uint8_t;
 }  // namespace han::telemetry
 
 namespace han::fleet {
@@ -92,10 +93,11 @@ enum class ControlMode : std::uint8_t {
   kPolled,
   /// Threshold-triggered observation: barriers land only at controller
   /// deadlines (shed expiry, hold ends, cooldown end, tariff
-  /// boundaries), predicted thermal crossings, and the observe_cap
-  /// safety net — and a controller is woken only when one of its
-  /// threshold bands crossed or a deadline it declared came due.
-  /// Barrier count drops from horizon/control_interval to roughly the
+  /// boundaries), predicted thermal crossings, and an observation-cap
+  /// safety net (15 min, tightened to 3 min while any feeder sits
+  /// within 90% of a shed trigger) — and a controller is woken only
+  /// when one of its threshold bands crossed or a deadline it declared
+  /// came due. Barrier count drops from horizon/control_interval to roughly the
   /// number of control decisions; the trade is that load transients
   /// fully contained between barriers go unobserved.
   kEventDriven,
@@ -128,25 +130,6 @@ struct GridOptions {
   sim::Duration control_interval = sim::minutes(1);
   /// Control-plane driving mode (see ControlMode).
   ControlMode control_mode = ControlMode::kPolled;
-  /// event_driven only: the longest premises may free-run without a
-  /// control barrier (the safety cap on observation gaps). Rounded up
-  /// to a whole number of control intervals.
-  sim::Duration observe_cap = sim::minutes(15);
-  /// event_driven only: shrink the observation cap to observe_cap_near
-  /// while any shed-enabled feeder's committed load or temperature
-  /// sits within observe_cap_near_fraction of its shed trigger. A
-  /// feeder drifting toward a trigger is sampled finely (so the shed
-  /// lands close to the polled instant), an idle fleet keeps the
-  /// relaxed observe_cap and its barrier savings. Deterministic: the
-  /// choice reads only the previous barrier's committed aggregates.
-  bool adaptive_observe_cap = true;
-  /// The tightened cap used while near a trigger band. Rounded up to a
-  /// whole number of control intervals; must be > 0.
-  sim::Duration observe_cap_near = sim::minutes(3);
-  /// How close (as a fraction of the trigger threshold) a feeder's
-  /// utilization or temperature must get before the near cap engages.
-  /// Must be in (0, 1]; 1.0 arms it only at the trigger itself.
-  double observe_cap_near_fraction = 0.9;
   /// Per-feeder DrConfig overrides keyed by feeder id: feeder k runs
   /// feeder_dr[k] when engaged, the shared `dr` otherwise (and when k
   /// is past the vector's end). Small volatile shards typically want
@@ -307,7 +290,7 @@ struct GridFleetResult {
   /// Control barriers the run used (global lockstep synchronization
   /// points, including the priming barrier at the epoch). Polled:
   /// horizon / control_interval + 1; event_driven: O(control
-  /// decisions) plus the observe_cap safety net.
+  /// decisions) plus the observation-cap safety net.
   std::uint64_t control_barriers = 0;
   /// Controller observations summed across feeders (see
   /// FeederOutcome::controller_wakes).
@@ -421,6 +404,12 @@ class FleetEngine {
   /// Sequential, index-ordered feeder aggregation over out.premises.
   void finish_aggregate(FleetResult& out) const;
   [[nodiscard]] double resolved_capacity_kw() const;
+  /// Telemetry phase charged for a premise advancing at `tier`.
+  [[nodiscard]] static telemetry::Phase tier_phase(
+      fidelity::FidelityTier tier) noexcept;
+  /// Sets the fleet-shape counters shared by run() and run_grid():
+  /// premises, feeders and the premise count at each tier.
+  void count_fleet_shape(telemetry::Collector& tel) const;
 
   FleetConfig config_;
   /// Planned feeder weights (1 + skew)^k and their sum — a pure

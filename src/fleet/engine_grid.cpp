@@ -13,24 +13,33 @@
 // substation bank model observes the summed total for inter-feeder
 // accounting.
 //
-// Two barrier schedulers drive the same plumbing (GridOptions::
-// control_mode):
+// One barrier loop serves both control modes (GridOptions::
+// control_mode). Each barrier, the priming one at the epoch included:
 //
-//   * polled — a barrier every control_interval and every controller
-//     woken at each one. Byte-identical to the fixed-interval engine
-//     this mode preserves.
-//   * event_driven — premises free-run until the earliest pending
-//     controller deadline (registered on a sim::EventQueue via
-//     sim::Timer), the monitor's predicted thermal crossing, or the
-//     observe_cap safety net, with every barrier snapped up to the
-//     control_interval grid. A controller is woken only when one of
-//     its threshold bands crossed at the barrier or a deadline it
-//     declared came due, shrinking barrier count from
-//     horizon/control_interval to O(number of control decisions).
+//   advance -> account -> apply -> per-shard join -> commit -> wake
+//   -> observe_total -> plan
+//
+// The modes differ only in three policies:
+//
+//   * where the next barrier lands — polled: one control_interval on;
+//     event_driven: the earliest of any controller deadline (armed on
+//     a sim::EventQueue via sim::Timer), the monitor's predicted
+//     thermal crossing, a tie-switch deadline and the observation cap
+//     (kObserveCap, tightened to kObserveCapNear near a trigger),
+//     snapped up to the control_interval grid;
+//   * whom a barrier wakes — polled: every feeder, through
+//     observe_feeder (byte-identical to the fixed-interval engine);
+//     event_driven: only a feeder whose threshold band crossed or
+//     whose declared deadline came due (every feeder at the epoch and
+//     at the horizon), which cuts barrier count from
+//     horizon/control_interval to O(number of control decisions);
+//   * which model reports feeder thermal metrics — polled: each
+//     controller's own; event_driven: the monitor, which committed at
+//     every barrier while the controller saw only its wakes.
 //
 // Between barriers each premise is still a thread-confined
 // single-threaded simulation (the executor provides the happens-before
-// edges at the barrier), and the whole control plane — barrier
+// edges at the per-shard joins), and the whole control plane — barrier
 // placement included — runs sequentially on the submitter thread in
 // feeder order, which together make the closed loop, including every
 // per-feeder signal/compliance log, byte-identical for any executor
@@ -38,15 +47,15 @@
 // degenerates to exactly the single-feeder loop: one shard holding
 // every premise, capacity share 1.0, substation == feeder.
 //
-// Tie switches (GridOptions::tie) hook into both schedulers at the
-// barriers: actuations due at a barrier re-home the moved premises
-// across the whole plane (shard member lists and buses inside the
-// Substation; monitor membership, the premise-side feeder stamp and
-// in-flight signal queues here) BEFORE the commit, so the controllers
-// observe the post-transfer aggregates; new transfers are planned from
-// the committed aggregates AFTER the controllers ran. Every tie step
-// is a no-op with transfers disabled, which is what keeps the
-// transfer-free outputs byte-identical to the pre-tie engine.
+// Tie switches (GridOptions::tie) hook into the barrier: actuations due
+// at a barrier re-home the moved premises across the whole plane
+// (shard member lists and buses inside the Substation; monitor
+// membership, the premise-side feeder stamp and in-flight signal
+// queues here) BEFORE the commit, so the controllers observe the
+// post-transfer aggregates; new transfers are planned from the
+// committed aggregates AFTER the controllers ran. Every tie step is a
+// no-op with transfers disabled, which is what keeps the transfer-free
+// outputs byte-identical to the pre-tie engine.
 //
 // Premises live behind the fidelity::PremiseBackend interface
 // (FleetConfig::fidelity picks each premise's tier): the loop below
@@ -73,24 +82,22 @@ namespace han::fleet {
 
 namespace {
 
+/// Event mode's observation cap: the longest premises free-run without
+/// a control barrier. Rounded up to whole control intervals.
+constexpr sim::Duration kObserveCap = sim::minutes(15);
+/// The tightened cap while any shed-enabled feeder not already shedding
+/// sits within kObserveCapNearFraction of its utilization or thermal
+/// trigger: a feeder drifting toward a trigger is sampled finely, so
+/// the shed lands close to the polled instant, while an idle fleet
+/// keeps the relaxed cap and its barrier savings.
+constexpr sim::Duration kObserveCapNear = sim::minutes(3);
+constexpr double kObserveCapNearFraction = 0.9;
+
 /// Rounds `t` up to the next multiple of `interval` past the epoch, so
 /// adaptive barriers stay on the polled observation grid.
 sim::TimePoint snap_up(sim::TimePoint t, sim::Duration interval) {
   const sim::Ticks rem = t.us() % interval.us();
   return rem == 0 ? t : sim::TimePoint{t.us() + (interval.us() - rem)};
-}
-
-/// Telemetry phase charged for a premise advancing at `tier`.
-telemetry::Phase tier_phase(fidelity::FidelityTier tier) noexcept {
-  switch (tier) {
-    case fidelity::FidelityTier::kFull:
-      return telemetry::Phase::kTierFullAdvance;
-    case fidelity::FidelityTier::kDevice:
-      return telemetry::Phase::kTierDeviceAdvance;
-    case fidelity::FidelityTier::kStatistical:
-      break;
-  }
-  return telemetry::Phase::kTierStatAdvance;
 }
 
 /// Trace-lane series name "sim/<event>/f<K>" (simulated-time instants).
@@ -152,35 +159,27 @@ GridFleetResult FleetEngine::run_grid(Executor& executor,
   {
     telemetry::Span boot(tel, telemetry::Phase::kBoot,
                          telemetry::Span::Emit::kTrace);
-    if (tel == nullptr) {
-      executor.parallel_for(
-          config_.premise_count, [this, &g, &backends](std::size_t i) {
-            PremiseSpec spec = make_spec(i);
-            // DR enrollment is a no-op until a signal is actually
-            // applied, so flipping it here cannot perturb the
-            // signal-free baseline.
-            spec.experiment.han.dr_aware = true;
-            spec.experiment.han.tariff_defer = g.premise_tariff_defer;
-            backends[i] = fidelity::make_backend(
-                tier_of(i), std::move(spec), config_.fidelity.calibration);
-          });
-    } else {
-      // Instrumented twin of the loop above: splits boot into the
-      // spec/trace draw and the backend construction per premise.
-      executor.parallel_for(
-          config_.premise_count, [this, &g, &backends, tel](std::size_t i) {
-            const std::uint64_t t0 = telemetry::Collector::now_ns();
-            PremiseSpec spec = make_spec(i);
-            spec.experiment.han.dr_aware = true;
-            spec.experiment.han.tariff_defer = g.premise_tariff_defer;
-            const std::uint64_t t1 = telemetry::Collector::now_ns();
-            backends[i] = fidelity::make_backend(
-                tier_of(i), std::move(spec), config_.fidelity.calibration);
+    // Instrumented runs split boot into the spec/trace draw and the
+    // backend construction per premise.
+    executor.parallel_for(
+        config_.premise_count, [this, &g, &backends, tel](std::size_t i) {
+          const std::uint64_t t0 =
+              tel != nullptr ? telemetry::Collector::now_ns() : 0;
+          PremiseSpec spec = make_spec(i);
+          // DR enrollment is a no-op until a signal is actually applied,
+          // so flipping it here cannot perturb the signal-free baseline.
+          spec.experiment.han.dr_aware = true;
+          spec.experiment.han.tariff_defer = g.premise_tariff_defer;
+          const std::uint64_t t1 =
+              tel != nullptr ? telemetry::Collector::now_ns() : 0;
+          backends[i] = fidelity::make_backend(
+              tier_of(i), std::move(spec), config_.fidelity.calibration);
+          if (tel != nullptr) {
             tel->record_span(telemetry::Phase::kBootSpec, t1 - t0);
             tel->record_span(telemetry::Phase::kBootBackend,
                              telemetry::Collector::now_ns() - t1);
-          });
-    }
+          }
+        });
   }
 
   // --- Shard the fleet and raise the substation control plane.
@@ -256,19 +255,6 @@ GridFleetResult FleetEngine::run_grid(Executor& executor,
     }
   };
 
-  // Stages feeder k's member contributions and commits at `at`;
-  // returns the crossings (empty in polled mode — no bands).
-  const auto commit_feeder = [&](std::size_t k, sim::TimePoint at,
-                                 const auto& load_of)
-      -> const std::vector<metrics::Crossing>& {
-    metrics::StreamAggregate& agg = monitors[k];
-    const std::vector<std::size_t>& members = substation.premises(k);
-    for (std::size_t pos = 0; pos < members.size(); ++pos) {
-      agg.update(pos, load_of(members[pos]));
-    }
-    return agg.commit(at);
-  };
-
   // Builds and submits the per-shard advance graph for the barrier at
   // `t`: feeder k's member list is cut into `grain`-sized chunk tasks
   // carrying affinity k, all gated by one bodiless join node per
@@ -293,30 +279,23 @@ GridFleetResult FleetEngine::run_grid(Executor& executor,
       chunks.clear();
       for (std::size_t begin = 0; begin < members->size(); begin += grain) {
         const std::size_t end_i = std::min(members->size(), begin + grain);
-        if (tel == nullptr) {
-          chunks.push_back(graph.add(
-              [&backends, members, begin, end_i, t]() {
-                for (std::size_t pos = begin; pos < end_i; ++pos) {
-                  backends[(*members)[pos]]->advance_to(t);
+        // Instrumented runs charge each premise's step to its tier's
+        // nested phase (who is eating the barrier — the full sims or
+        // the surrogates?).
+        chunks.push_back(graph.add(
+            [&backends, members, begin, end_i, t, tel]() {
+              for (std::size_t pos = begin; pos < end_i; ++pos) {
+                fidelity::PremiseBackend& premise = *backends[(*members)[pos]];
+                const std::uint64_t t0 =
+                    tel != nullptr ? telemetry::Collector::now_ns() : 0;
+                premise.advance_to(t);
+                if (tel != nullptr) {
+                  tel->record_span(tier_phase(premise.tier()),
+                                   telemetry::Collector::now_ns() - t0);
                 }
-              },
-              k));
-        } else {
-          // Instrumented twin: charges each premise's step to its
-          // tier's nested phase (who is eating the barrier — the full
-          // sims or the surrogates?).
-          chunks.push_back(graph.add(
-              [&backends, members, begin, end_i, t, tel]() {
-                for (std::size_t pos = begin; pos < end_i; ++pos) {
-                  const std::uint64_t t0 = telemetry::Collector::now_ns();
-                  backends[(*members)[pos]]->advance_to(t);
-                  tel->record_span(
-                      tier_phase(backends[(*members)[pos]]->tier()),
-                      telemetry::Collector::now_ns() - t0);
-                }
-              },
-              k));
-        }
+              }
+            },
+            k));
       }
       plan.joins.push_back(graph.add_join(chunks));
     }
@@ -393,318 +372,243 @@ GridFleetResult FleetEngine::run_grid(Executor& executor,
         t, loads, [&load_of](std::size_t p) { return load_of(p); });
   };
 
+  // --- Barrier policies. Event mode arms each feeder's declared
+  // deadline and predicted thermal crossing as re-armable timers on one
+  // event queue; polled mode arms nothing, so its queue stays empty.
   const sim::TimePoint end = sim::TimePoint::epoch() + config_.horizon;
-  std::uint64_t barriers = 0;
+  const sim::Duration interval = g.control_interval;
+  sim::EventQueue timers;
+  std::vector<sim::Timer> deadline;
+  std::vector<sim::Timer> thermal;
+  deadline.reserve(feeders);
+  thermal.reserve(feeders);
+  for (std::size_t k = 0; k < feeders; ++k) {
+    deadline.emplace_back(timers);
+    thermal.emplace_back(timers);
+  }
+  // Every feeder's deadline is "due" at the epoch: the priming barrier
+  // wakes each controller once (initial tariff tier, full-span
+  // accounting anchor) and arms its first deadlines.
+  std::vector<char> deadline_due(feeders, 1);
 
-  if (!event_driven) {
-    // --- Polled: fixed-interval lockstep. One control barrier:
-    // per-feeder aggregates (index order within the shard), each
-    // routed to its own head end, then the substation total. With a
-    // plan in flight, feeder k's slice of the control plane first
-    // waits on k's OWN join node — feeders whose premises already
-    // arrived commit while slower shards are still advancing.
-    const auto control_step = [&](sim::TimePoint at, const auto& load_of,
-                                  AdvancePlan* plan) {
-      double total_kw = 0.0;
-      for (std::size_t k = 0; k < feeders; ++k) {
-        if (plan != nullptr) {
-          telemetry::Span join_span(tel,
-                                    telemetry::Phase::kBarrierJoinWait);
-          plan->run.wait(plan->joins[k]);
-          join_span.finish();
-          if (tel != nullptr) tel->count("join_waits");
-        }
-        // Per-feeder spans keep the call order byte-identical to the
-        // uninstrumented loop while still splitting commit from
-        // observe/fan-out in the aggregate profile.
-        telemetry::Span commit_span(tel, telemetry::Phase::kBarrierCommit);
-        commit_feeder(k, at, load_of);
-        const double aggregate_kw = monitors[k].total_kw();
-        commit_span.finish();
-        telemetry::Span observe_span(tel, telemetry::Phase::kBarrierObserve);
-        fan_out(k, substation.observe_feeder(k, at, aggregate_kw));
-        total_kw += aggregate_kw;
-      }
-      {
-        telemetry::Span observe_span(tel, telemetry::Phase::kBarrierObserve);
-        substation.observe_total(at, total_kw);
-      }
-      {
-        telemetry::Span plan_span(tel, telemetry::Phase::kBarrierPlan);
-        plan_tie(at, load_of);
-      }
-      ++barriers;
-    };
-
-    sim::TimePoint t = sim::TimePoint::epoch();
-    // Prime every feeder model AND the substation bank at the epoch
-    // (Type-2 load is zero before the CP boots, so each aggregate is
-    // the shard's diurnal base): a FeederModel's priming sample
-    // carries no interval, and anchoring all of them here makes every
-    // feeder's overload/thermal accounting cover the whole
-    // (0, horizon] span. It also emits the initial tariff tier at t=0
-    // when a window covers midnight.
-    control_step(t,
-                 [&backends, t](std::size_t i) {
-                   return diurnal_base_kw(backends[i]->spec(), t);
-                 },
-                 nullptr);
-    while (t < end) {
-      const sim::TimePoint prev = t;
-      t = std::min(t + g.control_interval, end);
-      AdvancePlan plan;
-      {
-        telemetry::Span advance_span(tel, telemetry::Phase::kBarrierAdvance,
-                                     telemetry::Span::Emit::kTrace);
-        plan = submit_advance(t);
-      }
-      if (tie_enabled) {
-        // Transfer accounting and re-homing read premises across shard
-        // boundaries, so the tied loop still needs the whole fleet at
-        // the barrier before the control plane runs.
-        telemetry::Span join_span(tel, telemetry::Phase::kBarrierJoinWait);
-        plan.run.wait_all();
-        join_span.finish();
-        if (tel != nullptr) tel->count("join_waits");
-      }
-      // Sequential from here: the whole control plane in feeder order.
-      {
-        telemetry::Span account_span(tel, telemetry::Phase::kBarrierAccount);
-        account_transfers(t - prev);
-      }
-      {
-        telemetry::Span apply_span(tel, telemetry::Phase::kBarrierApply);
-        apply_tie_ops(t);
-      }
-      control_step(t,
-                   [&backends](std::size_t i) {
-                     return backends[i]->inst_kw();
-                   },
-                   tie_enabled ? nullptr : &plan);
-      // All joins have been waited on, so this returns immediately; it
-      // exists to surface the first premise exception, exactly as the
-      // old fleet-wide parallel_for did.
-      plan.run.wait_all();
+  // Re-arms feeder k's declared deadline after a wake changed its
+  // controller state.
+  const auto rearm_deadline = [&](std::size_t k) {
+    const sim::TimePoint at = substation.controller(k).next_deadline();
+    if (at < sim::TimePoint::max()) {
+      deadline[k].arm(at, [&deadline_due, k]() { deadline_due[k] = 1; });
+    } else {
+      deadline[k].cancel();
     }
-  } else {
-    // --- Event-driven: threshold-triggered observation. Controller
-    // deadlines live as re-armable timers on one event queue; barriers
-    // land at the earliest of (any deadline, any predicted thermal
-    // crossing, the observe_cap safety net), snapped up to the
-    // control_interval grid so every observation instant is one the
-    // polled mode would also have taken.
-    sim::EventQueue timers;
-    std::vector<sim::Timer> deadline;
-    std::vector<sim::Timer> thermal;
-    deadline.reserve(feeders);
-    thermal.reserve(feeders);
+  };
+  // Re-arms feeder k's predicted thermal-trigger crossing from the
+  // monitor's committed state. The timer only forces a barrier; the
+  // crossing itself (if the prediction still holds) is detected by
+  // the temperature band at that barrier's commit.
+  const auto rearm_thermal = [&](std::size_t k) {
+    const grid::DrConfig& dr = substation.controller(k).config();
+    if (!dr.shed_enabled) return;
+    const sim::TimePoint at =
+        monitors[k].predict_thermal_crossing(dr.trigger_temp_pu);
+    if (at < sim::TimePoint::max()) {
+      thermal[k].arm(at, []() {});
+    } else {
+      thermal[k].cancel();
+    }
+  };
+
+  // Observation caps in whole intervals (at least one): polled mode is
+  // the one-interval case of both.
+  const auto cap_intervals = [&interval](sim::Duration d) {
+    return interval *
+           std::max<sim::Ticks>(1,
+                                (d.us() + interval.us() - 1) / interval.us());
+  };
+  const sim::Duration cap_far =
+      event_driven ? cap_intervals(kObserveCap) : interval;
+  const sim::Duration cap_near =
+      event_driven ? cap_intervals(kObserveCapNear) : interval;
+
+  // True when any shed-enabled feeder's last committed state is within
+  // kObserveCapNearFraction of its trigger (utilization or thermal). A
+  // feeder whose shed is already active is skipped: its expiry/all-
+  // clear deadlines are armed, so the onset crossing the near cap
+  // exists to catch has already been caught, and a heat-wave plateau
+  // would otherwise hold "near" true for the whole shed. Reads only
+  // control-plane state from the previous barrier's commit, so the
+  // chosen cap — and with it the barrier schedule — is deterministic
+  // across executor widths.
+  const auto near_trigger = [&]() {
+    if (!event_driven || !g.enabled) return false;
     for (std::size_t k = 0; k < feeders; ++k) {
-      deadline.emplace_back(timers);
-      thermal.emplace_back(timers);
-    }
-    std::vector<char> deadline_due(feeders, 0);
-
-    // Re-arms feeder k's declared deadline after a wake changed its
-    // controller state.
-    const auto rearm_deadline = [&](std::size_t k) {
-      const sim::TimePoint at = substation.controller(k).next_deadline();
-      if (at < sim::TimePoint::max()) {
-        deadline[k].arm(at, [&deadline_due, k]() { deadline_due[k] = 1; });
-      } else {
-        deadline[k].cancel();
-      }
-    };
-    // Re-arms feeder k's predicted thermal-trigger crossing from the
-    // monitor's committed state. The timer only forces a barrier; the
-    // crossing itself (if the prediction still holds) is detected by
-    // the temperature band at that barrier's commit.
-    const auto rearm_thermal = [&](std::size_t k) {
       const grid::DrConfig& dr = substation.controller(k).config();
-      if (!dr.shed_enabled) return;
-      const sim::TimePoint at =
-          monitors[k].predict_thermal_crossing(dr.trigger_temp_pu);
-      if (at < sim::TimePoint::max()) {
-        thermal[k].arm(at, []() {});
-      } else {
-        thermal[k].cancel();
+      if (!dr.shed_enabled) continue;
+      if (substation.controller(k).shed_active()) continue;
+      const double capacity_kw =
+          substation.controller(k).feeder().config().capacity_kw;
+      if (capacity_kw > 0.0 &&
+          monitors[k].total_kw() / capacity_kw >=
+              kObserveCapNearFraction * dr.trigger_utilization) {
+        return true;
       }
-    };
-
-    // Prime at the epoch with the same observation the polled loop
-    // takes: every controller is woken once (initial tariff tier,
-    // full-span accounting anchor), every band takes its initial
-    // state, and the first deadlines are armed.
-    sim::TimePoint t = sim::TimePoint::epoch();
-    {
-      const auto prime_load = [&backends, t](std::size_t i) {
-        return diurnal_base_kw(backends[i]->spec(), t);
-      };
-      double total_kw = 0.0;
-      for (std::size_t k = 0; k < feeders; ++k) {
-        commit_feeder(k, t, prime_load);
-        const grid::Observation obs{t, monitors[k].total_kw(),
-                                    monitors[k].temperature_pu()};
-        if (tel != nullptr) tel->count("wakes_timer");
-        fan_out(k, substation.on_timer(k, obs));
-        total_kw += obs.load_kw;
-        rearm_deadline(k);
-        rearm_thermal(k);
+      if (monitors[k].temperature_pu() >=
+          kObserveCapNearFraction * dr.trigger_temp_pu) {
+        return true;
       }
-      substation.observe_total(t, total_kw);
-      plan_tie(t, prime_load);
-      ++barriers;
     }
+    return false;
+  };
 
-    const sim::Duration interval = g.control_interval;
-    // Safety caps in whole intervals (at least one). The relaxed cap
-    // is the classic observe_cap; the near cap kicks in while any
-    // feeder sits close to its shed trigger band, where a long blind
-    // window would coarsen shed-onset accounting (the crossing is only
-    // detected at the next barrier, however late that lands).
-    const auto cap_intervals = [&interval](sim::Duration d) {
-      return interval *
-             std::max<sim::Ticks>(
-                 1, (d.us() + interval.us() - 1) / interval.us());
+  // Wakes feeder k's controller with the observation committed at
+  // `obs.t`. Polled: every feeder, every barrier. Event-driven: a
+  // crossing first, else a due deadline, else only the horizon-end
+  // barrier — a controller mid-shed with its next deadline past the
+  // horizon would otherwise never account the tail of its last wake
+  // into the DR time integrals. Woken or crossed feeders re-arm their
+  // declared deadline; every feeder re-arms its thermal prediction.
+  const auto wake = [&](std::size_t k, const grid::Observation& obs,
+                        bool crossed) {
+    if (!event_driven) {
+      fan_out(k, substation.observe_feeder(k, obs.t, obs.load_kw));
+      return;
+    }
+    // Counts an event-mode wake and marks it on feeder k's sim lane.
+    const auto note = [&](const char* counter, const char* lane) {
+      if (tel == nullptr) return;
+      tel->count(counter);
+      if (tel->tracing()) {
+        tel->trace_instant(sim_series(lane, k), obs.t, obs.load_kw);
+      }
     };
-    const sim::Duration cap_far = cap_intervals(g.observe_cap);
-    const sim::Duration cap_near = cap_intervals(g.observe_cap_near);
+    if (crossed) {
+      note("wakes_crossing", "crossing");
+      fan_out(k, substation.on_crossing(k, obs));
+    } else if (deadline_due[k] || obs.t == end) {
+      note("wakes_timer", "wake");
+      fan_out(k, substation.on_timer(k, obs));
+    }
+    if (crossed || deadline_due[k]) rearm_deadline(k);
+    deadline_due[k] = 0;
+    rearm_thermal(k);
+  };
 
-    // True when any shed-enabled feeder's last committed state is
-    // within observe_cap_near_fraction of its trigger (utilization or
-    // thermal). A feeder whose shed is already active is skipped: its
-    // expiry/all-clear deadlines are armed, so the onset crossing the
-    // near cap exists to catch has already been caught, and a heat-wave
-    // plateau would otherwise hold "near" true for the whole shed.
-    // Reads only control-plane state from the previous barrier's
-    // commit, so the chosen cap — and with it the barrier schedule —
-    // is deterministic across executor widths.
-    const auto near_trigger = [&]() {
-      if (!g.adaptive_observe_cap || !g.enabled) return false;
-      for (std::size_t k = 0; k < feeders; ++k) {
-        const grid::DrConfig& dr = substation.controller(k).config();
-        if (!dr.shed_enabled) continue;
-        if (substation.controller(k).shed_active()) continue;
-        const double capacity_kw =
-            substation.controller(k).feeder().config().capacity_kw;
-        if (capacity_kw > 0.0 &&
-            monitors[k].total_kw() / capacity_kw >=
-                g.observe_cap_near_fraction * dr.trigger_utilization) {
-          return true;
-        }
-        if (monitors[k].temperature_pu() >=
-            g.observe_cap_near_fraction * dr.trigger_temp_pu) {
-          return true;
-        }
-      }
-      return false;
-    };
-
-    while (t < end) {
-      sim::TimePoint next = t + (near_trigger() ? cap_near : cap_far);
-      if (!timers.empty()) next = std::min(next, timers.next_time());
-      if (tie_enabled) {
-        // A planned actuation or a hold expiry forces a barrier just
-        // like a controller deadline — actuations land at the same
-        // instants the polled loop would land them.
-        next = std::min(next, substation.next_tie_deadline(t));
-      }
-      next = snap_up(next, interval);
-      next = std::max(next, t + interval);  // timers never stall a barrier
-      next = std::min(next, end);
-      const sim::TimePoint prev = t;
-      t = next;
-      AdvancePlan plan;
-      {
-        telemetry::Span advance_span(tel, telemetry::Phase::kBarrierAdvance,
-                                     telemetry::Span::Emit::kTrace);
-        plan = submit_advance(t);
-      }
-      ++barriers;
-      // Fire everything due: callbacks mark which feeders' deadlines
-      // came due at (or before) this barrier. Pure control-plane
-      // state, so it overlaps the premises still in flight.
-      while (!timers.empty() && timers.next_time() <= t) timers.pop().fn();
-
-      if (tie_enabled) {
-        // Same cross-shard constraint as the polled loop: accounting
-        // and re-homing need every shard at the barrier.
+  std::uint64_t barriers = 0;
+  // The control half of one barrier at `at`, in feeder order: wait for
+  // feeder k's own shard (untied runs with a plan in flight — feeders
+  // whose premises already arrived commit while slower shards are
+  // still advancing), commit its aggregate, wake its controller; then
+  // refresh the deadlines a migration may have emptied without a wake,
+  // observe the substation total and plan new transfers.
+  const auto control_step = [&](sim::TimePoint at, const auto& load_of,
+                                AdvancePlan* plan,
+                                const std::vector<grid::TieEvent>& moved) {
+    double total_kw = 0.0;
+    for (std::size_t k = 0; k < feeders; ++k) {
+      if (plan != nullptr && !tie_enabled) {
         telemetry::Span join_span(tel, telemetry::Phase::kBarrierJoinWait);
-        plan.run.wait_all();
+        plan->run.wait(plan->joins[k]);
         join_span.finish();
         if (tel != nullptr) tel->count("join_waits");
       }
-      {
-        telemetry::Span account_span(tel, telemetry::Phase::kBarrierAccount);
-        account_transfers(t - prev);
+      // Stage the members' contributions and commit; crossings are
+      // always empty in polled mode (no bands).
+      telemetry::Span commit_span(tel, telemetry::Phase::kBarrierCommit);
+      const std::vector<std::size_t>& members = substation.premises(k);
+      for (std::size_t pos = 0; pos < members.size(); ++pos) {
+        monitors[k].update(pos, load_of(members[pos]));
       }
-      telemetry::Span apply_span(tel, telemetry::Phase::kBarrierApply);
-      const std::vector<grid::TieEvent> tie_events = apply_tie_ops(t);
-      apply_span.finish();
-
-      // The horizon-end barrier wakes every controller, mirroring the
-      // polled loop's final control step: a controller mid-shed with
-      // its next deadline past the horizon would otherwise never
-      // account the tail of its last wake into the DR time integrals.
-      const bool final_barrier = t == end;
-      const auto inst_load = [&backends](std::size_t i) {
-        return backends[i]->inst_kw();
-      };
-      double total_kw = 0.0;
-      for (std::size_t k = 0; k < feeders; ++k) {
-        if (!tie_enabled) {
-          telemetry::Span join_span(tel,
-                                    telemetry::Phase::kBarrierJoinWait);
-          plan.run.wait(plan.joins[k]);
-          join_span.finish();
-          if (tel != nullptr) tel->count("join_waits");
-        }
-        telemetry::Span commit_span(tel, telemetry::Phase::kBarrierCommit);
-        const std::vector<metrics::Crossing>& crossings =
-            commit_feeder(k, t, inst_load);
-        total_kw += monitors[k].total_kw();
-        const grid::Observation obs{t, monitors[k].total_kw(),
-                                    monitors[k].temperature_pu()};
-        commit_span.finish();
-        telemetry::Span observe_span(tel, telemetry::Phase::kBarrierObserve);
-        const bool crossed = !crossings.empty();
-        if (crossed) {
-          if (tel != nullptr) {
-            tel->count("wakes_crossing");
-            if (tel->tracing()) {
-              tel->trace_instant(sim_series("crossing", k), t, obs.load_kw);
-            }
-          }
-          fan_out(k, substation.on_crossing(k, obs));
-        } else if (deadline_due[k] || final_barrier) {
-          if (tel != nullptr) {
-            tel->count("wakes_timer");
-            if (tel->tracing()) {
-              tel->trace_instant(sim_series("wake", k), t, obs.load_kw);
-            }
-          }
-          fan_out(k, substation.on_timer(k, obs));
-        }
-        if (crossed || deadline_due[k]) rearm_deadline(k);
-        deadline_due[k] = 0;
-        rearm_thermal(k);
-      }
-      // A migration may have emptied a controller's armed/clear state
-      // without waking it: refresh both ends' declared deadlines.
-      for (const grid::TieEvent& ev : tie_events) {
+      const bool crossed = !monitors[k].commit(at).empty();
+      const grid::Observation obs{at, monitors[k].total_kw(),
+                                  monitors[k].temperature_pu()};
+      total_kw += obs.load_kw;
+      commit_span.finish();
+      const telemetry::Span observe_span(tel,
+                                         telemetry::Phase::kBarrierObserve);
+      wake(k, obs, crossed);
+    }
+    if (event_driven) {
+      for (const grid::TieEvent& ev : moved) {
         rearm_deadline(ev.from);
         rearm_deadline(ev.to);
       }
-      {
-        telemetry::Span observe_span(tel, telemetry::Phase::kBarrierObserve);
-        substation.observe_total(t, total_kw);
-      }
-      telemetry::Span plan_span(tel, telemetry::Phase::kBarrierPlan);
-      plan_tie(t, inst_load);
-      plan_span.finish();
-      // Returns immediately (every join was waited on); surfaces the
-      // first premise exception like the old fleet-wide join did.
-      plan.run.wait_all();
     }
+    {
+      const telemetry::Span observe_span(tel,
+                                         telemetry::Phase::kBarrierObserve);
+      substation.observe_total(at, total_kw);
+    }
+    {
+      const telemetry::Span plan_span(tel, telemetry::Phase::kBarrierPlan);
+      plan_tie(at, load_of);
+    }
+    ++barriers;
+  };
+
+  // Prime every feeder model AND the substation bank at the epoch
+  // (Type-2 load is zero before the CP boots, so each aggregate is the
+  // shard's diurnal base): a FeederModel's priming sample carries no
+  // interval, and anchoring all of them here makes every feeder's
+  // overload/thermal accounting cover the whole (0, horizon] span. It
+  // also emits the initial tariff tier at t=0 when a window covers
+  // midnight, and gives every monitor band its initial state.
+  sim::TimePoint t = sim::TimePoint::epoch();
+  control_step(t,
+               [&backends, t](std::size_t i) {
+                 return diurnal_base_kw(backends[i]->spec(), t);
+               },
+               nullptr, {});
+
+  const auto inst_load = [&backends](std::size_t i) {
+    return backends[i]->inst_kw();
+  };
+  while (t < end) {
+    // Barrier placement: the cap, pulled in by any armed timer or tie
+    // deadline, snapped up to the control_interval grid so every
+    // observation instant is one the polled mode would also take.
+    sim::TimePoint next = t + (near_trigger() ? cap_near : cap_far);
+    if (!timers.empty()) next = std::min(next, timers.next_time());
+    if (tie_enabled) {
+      // A planned actuation or a hold expiry forces a barrier just
+      // like a controller deadline.
+      next = std::min(next, substation.next_tie_deadline(t));
+    }
+    next = snap_up(next, interval);
+    next = std::max(next, t + interval);  // timers never stall a barrier
+    const sim::TimePoint prev = t;
+    t = std::min(next, end);
+    AdvancePlan plan;
+    {
+      telemetry::Span advance_span(tel, telemetry::Phase::kBarrierAdvance,
+                                   telemetry::Span::Emit::kTrace);
+      plan = submit_advance(t);
+    }
+    // Fire everything due: callbacks mark which feeders' deadlines
+    // came due at (or before) this barrier. Pure control-plane state,
+    // so it overlaps the premises still in flight.
+    while (!timers.empty() && timers.next_time() <= t) timers.pop().fn();
+
+    if (tie_enabled) {
+      // Transfer accounting and re-homing read premises across shard
+      // boundaries, so the tied loop needs the whole fleet at the
+      // barrier before the control plane runs.
+      telemetry::Span join_span(tel, telemetry::Phase::kBarrierJoinWait);
+      plan.run.wait_all();
+      join_span.finish();
+      if (tel != nullptr) tel->count("join_waits");
+    }
+    // Sequential from here: the whole control plane in feeder order.
+    {
+      const telemetry::Span account_span(tel,
+                                         telemetry::Phase::kBarrierAccount);
+      account_transfers(t - prev);
+    }
+    telemetry::Span apply_span(tel, telemetry::Phase::kBarrierApply);
+    const std::vector<grid::TieEvent> moved = apply_tie_ops(t);
+    apply_span.finish();
+    control_step(t, inst_load, &plan, moved);
+    // Returns immediately (every join was waited on); surfaces the
+    // first premise exception.
+    plan.run.wait_all();
   }
 
   // --- Collect premise results (parallel) and aggregate (sequential).
@@ -736,18 +640,18 @@ GridFleetResult FleetEngine::run_grid(Executor& executor,
     fo.capacity_kw = c.feeder().config().capacity_kw;
     fo.dr = c.stats();
     fo.controller_wakes = c.feeder().observations();
+    // Event mode's monitor committed at every barrier while the
+    // controller's own model only saw its wakes: report the finer one.
+    const auto report_thermal = [&fo](const auto& model) {
+      fo.overload_minutes = model.overload_minutes();
+      fo.hot_minutes = model.hot_minutes();
+      fo.peak_temperature_pu = model.peak_temperature_pu();
+      fo.peak_load_kw = model.peak_load_kw();
+    };
     if (event_driven) {
-      // The monitor committed at every barrier; the controller's own
-      // model only saw its wakes. Report the finer accounting.
-      fo.overload_minutes = monitors[k].overload_minutes();
-      fo.hot_minutes = monitors[k].hot_minutes();
-      fo.peak_temperature_pu = monitors[k].peak_temperature_pu();
-      fo.peak_load_kw = monitors[k].peak_load_kw();
+      report_thermal(monitors[k]);
     } else {
-      fo.overload_minutes = c.feeder().overload_minutes();
-      fo.hot_minutes = c.feeder().hot_minutes();
-      fo.peak_temperature_pu = c.feeder().peak_temperature_pu();
-      fo.peak_load_kw = c.feeder().peak_load_kw();
+      report_thermal(c.feeder());
     }
     fo.energy_lent_kwh = energy_lent_kwh[k];
     fo.energy_borrowed_kwh = energy_borrowed_kwh[k];
@@ -823,21 +727,7 @@ GridFleetResult FleetEngine::run_grid(Executor& executor,
       misrouted += p.network.grid_signals_misrouted;
       deferrals += p.network.tariff_deferrals;
     }
-    std::size_t full = 0;
-    std::size_t device = 0;
-    std::size_t stat = 0;
-    for (std::size_t i = 0; i < config_.premise_count; ++i) {
-      switch (tier_of(i)) {
-        case fidelity::FidelityTier::kFull: ++full; break;
-        case fidelity::FidelityTier::kDevice: ++device; break;
-        case fidelity::FidelityTier::kStatistical: ++stat; break;
-      }
-    }
-    tel->set_counter("premises", config_.premise_count);
-    tel->set_counter("feeders", feeders);
-    tel->set_counter("premises_full", full);
-    tel->set_counter("premises_device", device);
-    tel->set_counter("premises_stat", stat);
+    count_fleet_shape(*tel);
     tel->set_counter("control_barriers", out.control_barriers);
     tel->set_counter("controller_wakes", out.controller_wakes);
     tel->set_counter("signals_emitted", out.signals.size());

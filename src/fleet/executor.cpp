@@ -16,7 +16,7 @@ namespace han::fleet {
 
 namespace detail {
 
-// A scheduled unit: node `node` of graph `graph`, held by value in the
+// A scheduled unit: leaf `node` of graph `graph`, held by value in the
 // ring cells. The raw pointer is safe because GraphState::self (dropped
 // only when the last node retires) and the submitter's GraphRun both
 // hold shared ownership, so a graph outlives every queued task.
@@ -113,7 +113,7 @@ class TaskRing {
 // them freely while only the atomics mutate.
 struct GraphState {
   struct NodeState {
-    std::atomic<std::size_t> pending{0};  // unretired dependencies
+    std::atomic<std::size_t> pending{0};  // join: unretired leaves
     std::atomic<bool> done{false};
   };
 
@@ -122,8 +122,6 @@ struct GraphState {
 
   std::vector<Executor::TaskGraph::Node> nodes;
   std::vector<NodeState> states;
-  // dependents[i] = nodes unblocked (in part) by node i retiring.
-  std::vector<std::vector<std::uint32_t>> dependents;
   std::atomic<std::size_t> unfinished{0};
 
   // First task exception wins (completion order); rethrown by the
@@ -220,55 +218,49 @@ struct Executor::Impl {
     execute(task, /*stolen=*/false);
   }
 
-  std::size_t next_hint() noexcept {
-    return deal_rr.fetch_add(1, std::memory_order_relaxed);
-  }
-
   // --- execution ------------------------------------------------------
 
-  // Runs one node's body and retires it. `stolen` is true when the
+  // Runs one leaf's body and retires it. `stolen` is true when the
   // task was popped from a ring other than the executing worker's own.
   void execute(const detail::QueuedTask& task, bool stolen) {
     detail::GraphState& g = *task.graph;
-    const auto& node = g.nodes[task.node];
-    if (node.fn) {
-      try {
-        node.fn();
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(g.error_mutex);
-        if (!g.error) g.error = std::current_exception();
-      }
-      if (g.tel != nullptr) {
-        g.tasks_run.fetch_add(1, std::memory_order_relaxed);
-        if (stolen) g.steals.fetch_add(1, std::memory_order_relaxed);
-      }
+    try {
+      g.nodes[task.node].fn();
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(g.error_mutex);
+      if (!g.error) g.error = std::current_exception();
+    }
+    if (g.tel != nullptr) {
+      g.tasks_run.fetch_add(1, std::memory_order_relaxed);
+      if (stolen) g.steals.fetch_add(1, std::memory_order_relaxed);
     }
     retire(g, task.node);
   }
 
-  // Marks the node done, cascades to its dependents, and releases the
-  // graph when this was the last node. Bodiless joins retire inline
-  // (recursively) rather than round-tripping through a ring; bodied
-  // dependents are queued with their own affinity. `g` may be
-  // destroyed by the time this returns.
-  void retire(detail::GraphState& g, std::uint32_t node) {
+  // Marks `node` done and wakes any thread waiting on it.
+  static void mark_done(detail::GraphState& g, std::size_t node) {
     g.states[node].done.store(true, std::memory_order_seq_cst);
     if (g.waiters.load(std::memory_order_seq_cst) > 0) {
       { const std::lock_guard<std::mutex> lock(g.done_mutex); }
       g.done_cv.notify_all();
     }
-    for (const std::uint32_t dep : g.dependents[node]) {
-      if (g.states[dep].pending.fetch_sub(1, std::memory_order_acq_rel) ==
-          1) {
-        if (!g.nodes[dep].fn) {
-          retire(g, dep);
-        } else {
-          const std::size_t aff = g.nodes[dep].affinity;
-          dispatch({&g, dep}, aff == kAnyWorker ? next_hint() : aff);
-        }
-      }
+  }
+
+  // Retires `node` — a leaf whose body ran, or a join with no leaves —
+  // counts down the latch of the leaf's join (retiring the join when it
+  // reaches zero), and releases the graph when this was the last node.
+  // `g` may be destroyed by the time this returns.
+  static void retire(detail::GraphState& g, std::size_t node) {
+    mark_done(g, node);
+    std::size_t retired = 1;
+    const std::size_t join = g.nodes[node].join;
+    if (join != TaskGraph::kNoJoin &&
+        g.states[join].pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      mark_done(g, join);
+      ++retired;
     }
-    if (g.unfinished.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    if (g.unfinished.fetch_sub(retired, std::memory_order_acq_rel) ==
+        retired) {
       // Last node: wake waiters unconditionally (wait_all predicates
       // watch `unfinished`), then drop the graph's self-reference.
       { const std::lock_guard<std::mutex> lock(g.done_mutex); }
@@ -360,7 +352,7 @@ struct Executor::Impl {
   std::unique_ptr<detail::TaskRing[]> rings;
   std::vector<std::thread> workers;
 
-  std::atomic<std::size_t> deal_rr{0};  // round-robin placement of roots
+  std::atomic<std::size_t> deal_rr{0};  // round-robin placement of leaves
   std::atomic<std::size_t> help_rr{0};  // rotating start for helpers
 
   std::atomic<std::uint64_t> work_epoch{0};
@@ -379,47 +371,54 @@ struct Executor::Impl {
 
 Executor::TaskId Executor::TaskGraph::add(std::function<void()> fn,
                                           std::size_t affinity) {
-  const TaskId id = nodes_.size();
-  nodes_.push_back(Node{std::move(fn), {}, affinity});
-  return id;
+  if (!fn) throw std::invalid_argument("TaskGraph: a leaf needs a body");
+  nodes_.push_back(Node{std::move(fn), affinity, kNoJoin, 0});
+  return nodes_.size() - 1;
 }
 
-Executor::TaskId Executor::TaskGraph::add_join(std::vector<TaskId> deps,
-                                               std::function<void()> fn,
-                                               std::size_t affinity) {
+Executor::TaskId Executor::TaskGraph::add_join(std::vector<TaskId> deps) {
   const TaskId id = nodes_.size();
-  for (const TaskId dep : deps) {
-    // Forward references are impossible by construction (ids are handed
-    // out densely), so this catches typos and stale ids from another
-    // graph before they corrupt the pending counts.
-    if (dep >= id) {
-      throw std::invalid_argument("TaskGraph: node " + std::to_string(id) +
-                                  " depends on nonexistent node " +
-                                  std::to_string(dep));
+  for (std::size_t i = 0; i < deps.size(); ++i) {
+    const TaskId dep = deps[i];
+    const char* why = dep >= id               ? " gathers nonexistent node "
+                      : !nodes_[dep].fn       ? " gathers join "
+                      : nodes_[dep].join != kNoJoin ? " gathers already-joined leaf "
+                                              : nullptr;
+    if (why != nullptr) {
+      // Release the leaves claimed so far: a rejected join leaves the
+      // graph as it was.
+      for (std::size_t j = 0; j < i; ++j) nodes_[deps[j]].join = kNoJoin;
+      throw std::invalid_argument("TaskGraph: join " + std::to_string(id) +
+                                  why + std::to_string(dep));
     }
+    nodes_[dep].join = id;  // a repeat within `deps` now reads as joined
   }
-  nodes_.push_back(Node{std::move(fn), std::move(deps), affinity});
+  nodes_.push_back(Node{nullptr, kAnyWorker, kNoJoin, deps.size()});
   return id;
 }
 
 // --- GraphRun ---------------------------------------------------------
 
-Executor::GraphRun::~GraphRun() {
-  if (!state_) return;
-  state_->impl->wait_helping(*state_, [g = state_.get()]() {
-    return g->unfinished.load(std::memory_order_seq_cst) == 0;
+namespace {
+
+// Blocks until every node of `g` retired, helping meanwhile, then
+// flushes its scheduling tallies.
+void drain(detail::GraphState& g) {
+  g.impl->wait_helping(g, [&g]() {
+    return g.unfinished.load(std::memory_order_seq_cst) == 0;
   });
-  flush_activity(*state_);
+  flush_activity(g);
+}
+
+}  // namespace
+
+Executor::GraphRun::~GraphRun() {
+  if (state_) drain(*state_);
 }
 
 Executor::GraphRun& Executor::GraphRun::operator=(GraphRun&& other) noexcept {
   if (this != &other) {
-    if (state_) {
-      state_->impl->wait_helping(*state_, [g = state_.get()]() {
-        return g->unfinished.load(std::memory_order_seq_cst) == 0;
-      });
-      flush_activity(*state_);
-    }
+    if (state_) drain(*state_);
     state_ = std::move(other.state_);
   }
   return *this;
@@ -439,10 +438,7 @@ void Executor::GraphRun::wait(TaskId node) {
 
 void Executor::GraphRun::wait_all() {
   if (!state_) return;
-  state_->impl->wait_helping(*state_, [g = state_.get()]() {
-    return g->unfinished.load(std::memory_order_seq_cst) == 0;
-  });
-  flush_activity(*state_);
+  drain(*state_);
   std::exception_ptr error;
   {
     const std::lock_guard<std::mutex> lock(state_->error_mutex);
@@ -473,30 +469,26 @@ Executor::GraphRun Executor::submit_graph(TaskGraph&& graph) {
   if (n == 0) return GraphRun(std::move(state));
 
   g.unfinished.store(n, std::memory_order_relaxed);
-  g.dependents.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& deps = g.nodes[i].deps;
-    g.states[i].pending.store(deps.size(), std::memory_order_relaxed);
-    for (const TaskId dep : deps) {
-      g.dependents[dep].push_back(static_cast<std::uint32_t>(i));
-    }
+    g.states[i].pending.store(g.nodes[i].leaves, std::memory_order_relaxed);
   }
   g.self = state;
 
-  // Queue the roots. Retirements may start cascading concurrently with
-  // this loop — safe, because everything workers touch was initialized
-  // above and the GraphRun's shared_ptr keeps the graph alive even if
-  // the last node retires (and releases `self`) before we return.
+  // Queue every leaf; a join with no leaves has nothing to wait for and
+  // retires in place. Retirements may start concurrently with this
+  // loop — safe, because everything workers touch was initialized above
+  // and the GraphRun's shared_ptr keeps the graph alive even if the
+  // last node retires (and releases `self`) before we return.
   for (std::size_t i = 0; i < n; ++i) {
-    if (!g.nodes[i].deps.empty()) continue;
-    if (!g.nodes[i].fn) {
-      // Dependency-free pure join: nothing to run, retire in place.
-      impl_->retire(g, static_cast<std::uint32_t>(i));
-      continue;
+    const TaskGraph::Node& node = g.nodes[i];
+    if (node.fn) {
+      impl_->dispatch({&g, static_cast<std::uint32_t>(i)},
+                      node.affinity == kAnyWorker
+                          ? impl_->deal_rr.fetch_add(1, std::memory_order_relaxed)
+                          : node.affinity);
+    } else if (node.leaves == 0) {
+      Impl::retire(g, i);
     }
-    const std::size_t aff = g.nodes[i].affinity;
-    impl_->dispatch({&g, static_cast<std::uint32_t>(i)},
-                    aff == kAnyWorker ? impl_->next_hint() : aff);
   }
   return GraphRun(std::move(state));
 }
@@ -516,19 +508,6 @@ void Executor::parallel_for(std::size_t n,
   }
   GraphRun run = submit_graph(std::move(graph));
   run.wait_all();
-}
-
-void Executor::parallel_for_ranges(
-    std::size_t n, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;         // no blocks: fn is never called
-  if (grain == 0) grain = 1;  // a zero grain would loop forever
-  if (grain > n) grain = n;   // one block covering exactly [0, n)
-  const std::size_t blocks = (n + grain - 1) / grain;
-  parallel_for(blocks, [n, grain, &fn](std::size_t b) {
-    const std::size_t begin = b * grain;
-    fn(begin, std::min(n, begin + grain));
-  });
 }
 
 std::size_t Executor::suggested_grain(std::size_t n) const noexcept {

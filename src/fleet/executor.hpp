@@ -1,13 +1,19 @@
-// han::fleet — task-graph executor for premise-parallel simulation.
+// han::fleet — fork-join executor for premise-parallel simulation.
 //
 // Premise simulations are embarrassingly parallel but wildly uneven in
 // cost (device counts, workload intensity and horizon all vary per
 // home), and the closed-loop engine synchronizes them at control
 // barriers. A fleet-wide join would make every feeder's control
 // decision wait for the slowest premise anywhere; instead the engine
-// submits a dependency graph — premise tasks carrying a feeder
-// affinity, plus one join node per feeder shard — and each feeder's
-// control plane waits only on ITS shard's join.
+// submits one graph per barrier of exactly one shape — leaf tasks
+// (premise chunks carrying a feeder affinity) plus one bodiless join
+// per feeder shard — and each feeder's control plane waits only on ITS
+// shard's join.
+//
+// That shape is the whole contract: a join gathers leaves only, and a
+// leaf belongs to at most one join. Retiring a leaf counts down its
+// join's latch; the join retires when the latch reaches zero. There
+// are no continuations and no join-of-join chains.
 //
 // Scheduling machinery: one bounded lockless MPMC ring per worker
 // (per-cell sequence numbers, CAS enqueue/dequeue). A worker pops its
@@ -18,12 +24,13 @@
 // only to park idle workers and waiting submitters — never on the
 // task hot path.
 //
-// Determinism contract: the executor guarantees every node runs
-// exactly once, after all its dependencies, but in an unspecified
-// order on unspecified threads. Callers that need deterministic
-// output must make tasks independent (per-task RNG streams), write
-// results into per-index slots, and keep every ordered decision on
-// the submitting thread (the engine's sequential control plane).
+// Determinism contract: the executor guarantees every leaf runs
+// exactly once, and every join retires after all its leaves, but in an
+// unspecified order on unspecified threads. Callers that need
+// deterministic output must make tasks independent (per-task RNG
+// streams), write results into per-index slots, and keep every ordered
+// decision on the submitting thread (the engine's sequential control
+// plane).
 #pragma once
 
 #include <cstddef>
@@ -42,7 +49,7 @@ namespace detail {
 struct GraphState;
 }  // namespace detail
 
-/// Fixed-size worker pool scheduling dependency graphs of tasks over
+/// Fixed-size worker pool scheduling leaves-plus-joins task graphs over
 /// lockless per-worker rings. Thread-safe for concurrent submissions
 /// from any number of threads; each submission is tracked by its own
 /// GraphRun handle.
@@ -55,25 +62,21 @@ class Executor {
   /// placement; work stealing rebalances either way).
   static constexpr std::size_t kAnyWorker = static_cast<std::size_t>(-1);
 
-  /// A dependency graph under construction. Build nodes with add()
-  /// (leaf tasks) and add_join() (nodes gated on earlier nodes), then
-  /// hand the graph to Executor::submit_graph. Dependencies must point
-  /// at already-created nodes, so a TaskGraph is a DAG by construction.
+  /// A graph under construction: leaves from add(), bodiless joins
+  /// over them from add_join(). Hand it to Executor::submit_graph.
   class TaskGraph {
    public:
-    /// Adds a leaf task. `affinity` hints the worker ring the task is
-    /// first queued on (feeder shard id in the engine); kAnyWorker
-    /// deals round-robin. Returns the node's id.
+    /// Adds a leaf task (`fn` must be callable). `affinity` hints the
+    /// worker ring the task is first queued on (feeder shard id in the
+    /// engine); kAnyWorker deals round-robin. Returns the leaf's id.
     TaskId add(std::function<void()> fn, std::size_t affinity = kAnyWorker);
 
-    /// Adds a node that becomes runnable only after every node in
-    /// `deps` has retired. With an empty `fn` the node is a pure join
-    /// marker: it retires the instant its last dependency does and
-    /// counts as no executed task. With a body it is a continuation
-    /// and runs like any task once unblocked.
-    TaskId add_join(std::vector<TaskId> deps,
-                    std::function<void()> fn = nullptr,
-                    std::size_t affinity = kAnyWorker);
+    /// Adds a join that retires the instant the last leaf in `deps`
+    /// does (at once when `deps` is empty); it runs nothing and counts
+    /// as no executed task. Throws std::invalid_argument when an entry
+    /// of `deps` is not an existing leaf of this graph or is already
+    /// gathered by a join.
+    TaskId add_join(std::vector<TaskId> deps);
 
     /// Number of nodes added so far.
     [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
@@ -84,10 +87,12 @@ class Executor {
    private:
     friend class Executor;
     friend struct detail::GraphState;
+    static constexpr TaskId kNoJoin = static_cast<TaskId>(-1);
     struct Node {
-      std::function<void()> fn;
-      std::vector<TaskId> deps;
+      std::function<void()> fn;  // empty for a join
       std::size_t affinity = kAnyWorker;
+      TaskId join = kNoJoin;  // leaf: the join its retirement counts down
+      std::size_t leaves = 0;  // join: leaves it waits for
     };
     std::vector<Node> nodes_;
   };
@@ -108,8 +113,8 @@ class Executor {
     GraphRun(const GraphRun&) = delete;
     GraphRun& operator=(const GraphRun&) = delete;
 
-    /// True once `node` has retired (its body ran; for a pure join,
-    /// all its dependencies retired).
+    /// True once `node` has retired (a leaf's body ran; every leaf of
+    /// a join retired).
     [[nodiscard]] bool done(TaskId node) const noexcept;
 
     /// Blocks until `node` retires, helping execute pending tasks.
@@ -138,33 +143,22 @@ class Executor {
 
   [[nodiscard]] std::size_t thread_count() const noexcept;
 
-  /// Submits `graph` for execution and returns its run handle. Root
-  /// nodes are queued immediately; dependent nodes as their
-  /// dependencies retire. Safe to call from multiple threads at once
-  /// (the rings are MPMC), including from inside another graph's task.
+  /// Submits `graph` for execution and returns its run handle. Every
+  /// leaf is queued immediately; joins retire as their leaves do. Safe
+  /// to call from multiple threads at once (the rings are MPMC),
+  /// including from inside another graph's task.
   [[nodiscard]] GraphRun submit_graph(TaskGraph&& graph);
 
   /// Runs fn(0) .. fn(n-1) across the workers and blocks until all
   /// complete. If any task throws, the first exception (in completion
   /// order) is rethrown after the remaining tasks finish. Thin adapter
-  /// over submit_graph: one leaf node per index, one wait_all.
+  /// over submit_graph: one leaf per index, one wait_all.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& fn);
 
-  /// Range-chunked variant: runs fn(begin, end) over contiguous blocks
-  /// of `grain` indices (the tail block is shorter). One task per
-  /// block instead of one per index — at 100k+ cheap-tier premises per
-  /// barrier the per-task dispatch otherwise dominates the work.
-  /// Degenerate inputs are guarded here, not by caller discipline:
-  /// n == 0 runs nothing, grain == 0 is clamped to 1, grain > n runs
-  /// one block [0, n). Callers must keep per-index outputs
-  /// independent; block boundaries carry no ordering guarantee.
-  void parallel_for_ranges(
-      std::size_t n, std::size_t grain,
-      const std::function<void(std::size_t, std::size_t)>& fn);
-
-  /// A block size balancing dispatch overhead against steal
-  /// granularity: ~8 blocks per worker, capped at 1024 indices.
+  /// A chunk size for cutting n indices into leaves, balancing dispatch
+  /// overhead against steal granularity: ~8 chunks per worker, capped
+  /// at 1024 indices.
   [[nodiscard]] std::size_t suggested_grain(std::size_t n) const noexcept;
 
   /// Attaches (or, with nullptr, detaches) a telemetry sink. While

@@ -188,12 +188,6 @@ TEST(EventMode, FinalBarrierWakesEveryController) {
   }
 }
 
-TEST(EventMode, BadObserveCapThrows) {
-  FleetConfig cfg = tiny_dr_heat_wave();
-  cfg.grid.observe_cap = sim::Duration::zero();
-  EXPECT_THROW(FleetEngine{cfg}, std::invalid_argument);
-}
-
 TEST(EventMode, BarriersStayOnTheControlIntervalGrid) {
   // Every delivery timestamp derives from a barrier; barriers snapped
   // to the grid mean every emitted signal's time is a whole multiple

@@ -82,50 +82,12 @@ TEST(Executor, DefaultThreadCountIsPositive) {
   EXPECT_GE(ex.thread_count(), 1u);
 }
 
-// --- parallel_for_ranges degenerate inputs (regression: these used to
-// lean on caller discipline via suggested_grain).
-
-TEST(Executor, RangesZeroElementsNeverCallsBody) {
-  Executor ex(3);
-  ex.parallel_for_ranges(0, 16, [](std::size_t, std::size_t) {
-    FAIL() << "n == 0 must not invoke the body";
-  });
-}
-
-TEST(Executor, RangesZeroGrainIsClampedToOne) {
-  Executor ex(3);
-  constexpr std::size_t kN = 37;
-  std::vector<std::atomic<int>> hits(kN);
-  ex.parallel_for_ranges(kN, 0,
-                         [&hits](std::size_t begin, std::size_t end) {
-                           ASSERT_LT(begin, end);
-                           for (std::size_t i = begin; i < end; ++i) {
-                             ++hits[i];
-                           }
-                         });
-  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(Executor, RangesGrainLargerThanNIsOneExactBlock) {
-  Executor ex(3);
-  std::atomic<int> calls{0};
-  std::atomic<std::size_t> got_begin{99};
-  std::atomic<std::size_t> got_end{0};
-  ex.parallel_for_ranges(5, 1000,
-                         [&](std::size_t begin, std::size_t end) {
-                           ++calls;
-                           got_begin = begin;
-                           got_end = end;
-                         });
-  EXPECT_EQ(calls.load(), 1);
-  EXPECT_EQ(got_begin.load(), 0u);
-  EXPECT_EQ(got_end.load(), 5u);  // never past n
-}
-
 // --- task-graph API basics (the per-shard join machinery the engine's
 // barrier schedulers are built on; stress lives in test_executor_stress).
 
 TEST(Executor, GraphRunsNodesInDependencyOrder) {
+  // A join retires only after its leaf ran: the leaf's write is
+  // visible to the thread that waited on the join.
   Executor ex(4);
   std::atomic<int> stage{0};
   Executor::TaskGraph graph;
@@ -133,16 +95,13 @@ TEST(Executor, GraphRunsNodesInDependencyOrder) {
     int expected = 0;
     EXPECT_TRUE(stage.compare_exchange_strong(expected, 1));
   });
-  const auto b = graph.add_join({a}, [&stage]() {
-    int expected = 1;
-    EXPECT_TRUE(stage.compare_exchange_strong(expected, 2));
-  });
+  const auto b = graph.add_join({a});
   auto run = ex.submit_graph(std::move(graph));
   run.wait(b);
   EXPECT_TRUE(run.done(a));
   EXPECT_TRUE(run.done(b));
+  EXPECT_EQ(stage.load(), 1);
   run.wait_all();
-  EXPECT_EQ(stage.load(), 2);
 }
 
 TEST(Executor, PureJoinRetiresWhenDependenciesDo) {
@@ -166,10 +125,37 @@ TEST(Executor, EmptyGraphCompletesImmediately) {
   run.wait_all();  // must not hang
 }
 
-TEST(Executor, ForwardDependencyIsRejected) {
+TEST(Executor, EmptyJoinRetiresAtSubmit) {
+  // A feeder shard with no premises still gets a join; it has nothing
+  // to wait for.
+  Executor ex(2);
+  Executor::TaskGraph graph;
+  const auto join = graph.add_join({});
+  auto run = ex.submit_graph(std::move(graph));
+  EXPECT_TRUE(run.done(join));
+  run.wait_all();
+}
+
+TEST(Executor, JoinOfJoinAndDoubleJoinAreRejected) {
+  // A join gathers existing leaves only, and each leaf at most once.
   Executor::TaskGraph graph;
   const auto a = graph.add([]() {});
-  EXPECT_THROW(graph.add_join({a + 1}, []() {}), std::invalid_argument);
+  const auto b = graph.add([]() {});
+  EXPECT_THROW(graph.add_join({a + 2}), std::invalid_argument);  // no node
+  EXPECT_THROW(graph.add_join({a, a}), std::invalid_argument);   // repeat
+  const auto j = graph.add_join({a});
+  EXPECT_THROW(graph.add_join({j}), std::invalid_argument);     // join of join
+  EXPECT_THROW(graph.add_join({b, a}), std::invalid_argument);  // a joined
+  EXPECT_THROW(graph.add(nullptr), std::invalid_argument);      // no body
+  // Rejected joins claimed nothing: b is still free to join.
+  const auto k = graph.add_join({b});
+  EXPECT_EQ(graph.size(), 4u);
+
+  Executor ex(2);
+  auto run = ex.submit_graph(std::move(graph));
+  run.wait_all();
+  EXPECT_TRUE(run.done(j));
+  EXPECT_TRUE(run.done(k));
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 // TSan can observe the interesting interleavings: steal storms (tasks
 // far cheaper than the dispatch path, so workers spend their time in
 // the victim-scan), nested fan-out (outer parallel_for workers
-// submitting parallel_for_ranges to an inner pool, exercising
-// concurrent submissions into the MPMC rings), exception propagation
+// submitting chunk graphs to an inner pool, exercising concurrent
+// submissions into the MPMC rings), exception propagation
 // racing normal completion, telemetry attach/flush from many workers,
 // and the task-graph machinery itself: per-shard join independence (a
 // stalled shard must not hold up another shard's join), graph
@@ -17,8 +17,10 @@
 // in the ordinary suites as a plain correctness test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -29,6 +31,23 @@
 
 namespace han::fleet {
 namespace {
+
+/// The engine's barrier shape on one shard: fn(begin, end) over
+/// `grain`-sized chunks of [0, n) as leaves under one join. Waits on
+/// the join, then surfaces the first chunk exception via wait_all.
+void run_chunks(Executor& ex, std::size_t n, std::size_t grain,
+                const std::function<void(std::size_t, std::size_t)>& fn) {
+  Executor::TaskGraph graph;
+  std::vector<Executor::TaskId> chunks;
+  for (std::size_t begin = 0; begin < n; begin += grain) {
+    const std::size_t end = std::min(n, begin + grain);
+    chunks.push_back(graph.add([&fn, begin, end]() { fn(begin, end); }));
+  }
+  const Executor::TaskId join = graph.add_join(std::move(chunks));
+  Executor::GraphRun run = ex.submit_graph(std::move(graph));
+  run.wait(join);
+  run.wait_all();
+}
 
 TEST(ExecutorStress, StealStormTinyTasks) {
   // 20k near-empty tasks on 4 workers: the deal is round-robin, so
@@ -65,8 +84,8 @@ TEST(ExecutorStress, StealStormSkewedCosts) {
 }
 
 TEST(ExecutorStress, NestedRangesThroughInnerPool) {
-  // Outer workers concurrently submit parallel_for_ranges to a shared
-  // inner executor. The MPMC rings must absorb the concurrent
+  // Outer workers concurrently submit chunk graphs to a shared inner
+  // executor. The MPMC rings must absorb the concurrent
   // submissions and every (outer, inner) cell must be visited exactly
   // once.
   Executor outer(4);
@@ -75,8 +94,8 @@ TEST(ExecutorStress, NestedRangesThroughInnerPool) {
   static constexpr std::size_t kInner = 512;
   std::vector<std::atomic<std::uint8_t>> cells(kOuter * kInner);
   outer.parallel_for(kOuter, [&](std::size_t o) {
-    inner.parallel_for_ranges(
-        kInner, inner.suggested_grain(kInner),
+    run_chunks(
+        inner, kInner, inner.suggested_grain(kInner),
         [&cells, o](std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
             cells[o * kInner + i].fetch_add(1, std::memory_order_relaxed);
@@ -102,8 +121,8 @@ TEST(ExecutorStress, ConcurrentSubmittersOneExecutor) {
   for (std::size_t s = 0; s < kSubmitters; ++s) {
     submitters.emplace_back([&ex, &counts, s]() {
       for (int round = 0; round < 3; ++round) {
-        ex.parallel_for_ranges(
-            kPerSubmit, 64, [&counts, s](std::size_t begin, std::size_t end) {
+        run_chunks(
+            ex, kPerSubmit, 64, [&counts, s](std::size_t begin, std::size_t end) {
               counts[s].fetch_add(static_cast<std::uint32_t>(end - begin),
                                   std::memory_order_relaxed);
             });
@@ -145,8 +164,8 @@ TEST(ExecutorStress, ExceptionStormFirstWinsRestComplete) {
 TEST(ExecutorStress, ExceptionInsideRangesBlock) {
   Executor ex(3);
   std::atomic<std::uint32_t> visited{0};
-  EXPECT_THROW(ex.parallel_for_ranges(
-                   1000, 32,
+  EXPECT_THROW(run_chunks(
+                   ex, 1000, 32,
                    [&visited](std::size_t begin, std::size_t end) {
                      visited.fetch_add(
                          static_cast<std::uint32_t>(end - begin),
@@ -242,8 +261,8 @@ TEST(ExecutorStress, GraphPerShardJoinIndependence) {
 }
 
 TEST(ExecutorStress, ConcurrentGraphSubmissions) {
-  // Raw threads racing whole graphs (leaves + join continuation) into
-  // one executor. Every graph's continuation must observe all of its
+  // Raw threads racing whole graphs (leaves + join) into one executor.
+  // Once a graph's join retires, its submitter must observe all of its
   // own leaves and nothing else; totals must be exact.
   Executor ex(4);
   constexpr std::size_t kSubmitters = 6;
@@ -266,13 +285,13 @@ TEST(ExecutorStress, ConcurrentGraphSubmissions) {
               },
               /*affinity=*/i % 4));
         }
-        graph.add_join(leaves, [&joined, &leaves_run, s]() {
-          // The join body runs after every dependency retired, so the
-          // leaf count must already be complete here.
-          joined[s].fetch_add(leaves_run.load(std::memory_order_relaxed),
-                              std::memory_order_relaxed);
-        });
+        const auto join = graph.add_join(leaves);
         auto run = ex.submit_graph(std::move(graph));
+        run.wait(join);
+        // The join retired after every leaf did, so the leaf count must
+        // already be complete here.
+        joined[s].fetch_add(leaves_run.load(std::memory_order_relaxed),
+                            std::memory_order_relaxed);
         run.wait_all();
       }
     });
@@ -285,13 +304,12 @@ TEST(ExecutorStress, ConcurrentGraphSubmissions) {
 
 TEST(ExecutorStress, ExceptionThroughJoinNodes) {
   // A leaf throws. Errors do not cancel the graph: the remaining
-  // leaves and the join continuation still run (the engine's control
+  // leaves still run and the join still retires (the engine's control
   // plane depends on joins always retiring), and wait_all() rethrows
   // the first error afterwards. The pool survives for the next graph.
   Executor ex(4);
   for (int round = 0; round < 3; ++round) {
     std::atomic<std::uint32_t> ran{0};
-    std::atomic<bool> join_ran{false};
     Executor::TaskGraph graph;
     std::vector<Executor::TaskId> leaves;
     for (std::size_t i = 0; i < 256; ++i) {
@@ -300,12 +318,10 @@ TEST(ExecutorStress, ExceptionThroughJoinNodes) {
         if (i % 31 == 0) throw std::runtime_error("leaf failed");
       }));
     }
-    const auto join = graph.add_join(leaves, [&join_ran]() {
-      join_ran.store(true, std::memory_order_release);
-    });
+    const auto join = graph.add_join(leaves);
     auto run = ex.submit_graph(std::move(graph));
     run.wait(join);  // wait() observes completion, not errors
-    EXPECT_TRUE(join_ran.load(std::memory_order_acquire));
+    EXPECT_TRUE(run.done(join));
     EXPECT_EQ(ran.load(), 256u) << "round " << round;
     EXPECT_THROW(run.wait_all(), std::runtime_error);
   }
