@@ -347,7 +347,7 @@ void print_event_sweep(bench::JsonReport& report) {
   std::printf(
       "\npolled wakes every controller at every barrier; event-driven\n"
       "wakes only on threshold crossings and declared deadlines, and\n"
-      "premises free-run between them (observe_cap safety net).\n");
+      "premises free-run between them (observation-cap safety net).\n");
 }
 
 /// Small fleet shared by the google-benchmark timings.

@@ -380,10 +380,11 @@ Executor::TaskId Executor::TaskGraph::add_join(std::vector<TaskId> deps) {
   const TaskId id = nodes_.size();
   for (std::size_t i = 0; i < deps.size(); ++i) {
     const TaskId dep = deps[i];
-    const char* why = dep >= id               ? " gathers nonexistent node "
-                      : !nodes_[dep].fn       ? " gathers join "
-                      : nodes_[dep].join != kNoJoin ? " gathers already-joined leaf "
-                                              : nullptr;
+    const char* why =
+        dep >= id                     ? " gathers nonexistent node "
+        : !nodes_[dep].fn             ? " gathers join "
+        : nodes_[dep].join != kNoJoin ? " gathers already-joined leaf "
+                                      : nullptr;
     if (why != nullptr) {
       // Release the leaves claimed so far: a rejected join leaves the
       // graph as it was.
@@ -482,10 +483,11 @@ Executor::GraphRun Executor::submit_graph(TaskGraph&& graph) {
   for (std::size_t i = 0; i < n; ++i) {
     const TaskGraph::Node& node = g.nodes[i];
     if (node.fn) {
-      impl_->dispatch({&g, static_cast<std::uint32_t>(i)},
-                      node.affinity == kAnyWorker
-                          ? impl_->deal_rr.fetch_add(1, std::memory_order_relaxed)
-                          : node.affinity);
+      const std::size_t hint =
+          node.affinity == kAnyWorker
+              ? impl_->deal_rr.fetch_add(1, std::memory_order_relaxed)
+              : node.affinity;
+      impl_->dispatch({&g, static_cast<std::uint32_t>(i)}, hint);
     } else if (node.leaves == 0) {
       Impl::retire(g, i);
     }

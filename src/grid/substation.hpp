@@ -253,7 +253,7 @@ class Substation {
   /// transfer's hold expiry strictly after `after` (give-back becomes
   /// legal there). A hold that already expired is NOT a deadline —
   /// once give-back is merely waiting on the donor's load to recover,
-  /// the observe_cap bounds the re-check cadence exactly as it does
+  /// the observation cap bounds the re-check cadence exactly as it does
   /// for DR load triggers. TimePoint::max() when nothing is pending.
   [[nodiscard]] sim::TimePoint next_tie_deadline(
       sim::TimePoint after) const noexcept;

@@ -254,11 +254,11 @@ TEST(Invariants, TransfersActuallyFireSomewhereInTheMatrix) {
 // DR time integrals are coarser than polled's — in one direction:
 // excursions the controller never observed cannot enter an integral,
 // so event mode under-counts and must never over-count. The adaptive
-// observe_cap (shrink to observe_cap_near while a feeder idles inside
-// the trigger band) bounds shed-onset detection latency, which is what
-// lets these pins sit much tighter than the pre-adaptive ones (they
-// were 0.6x / 1.35x+60 / 1.5x+60 / 6). The pinned contract on the
-// harness preset:
+// observation cap (kObserveCap shrinks to kObserveCapNear while a feeder
+// idles inside the trigger band) bounds shed-onset detection latency,
+// which is what lets these pins sit much tighter than the pre-adaptive
+// ones (they were 0.6x / 1.35x+60 / 1.5x+60 / 6). The pinned contract
+// on the harness preset:
 //
 //   * shed-active minutes stay within 30% of polled (+30 min floor).
 //     Shed spans are deadline-anchored so a single shed tracks
